@@ -3,8 +3,9 @@
 Subcommands: count (global/range counts), local (per-vertex/per-edge TSV
 export), profile (clique-to-HCS ratio vector), verify (three-way agreement).
 
-Exit codes: 0 ok, 1 I/O or parse error, 2 invalid motif parameters,
-3 verification mismatch, 4 counter overflow.
+Exit codes: 0 ok, 1 I/O or parse error, 2 invalid motif or run parameters,
+3 verification mismatch (including a failed local-count self-check),
+4 counter overflow.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .listing import count_by_listing
 from .motifs import MotifSpec, SpecError
 from .pivot import count_by_pivot
 from .report import hgp_profile, make_report
-from .runner import CounterOverflowError, default_threads
+from .runner import CounterOverflowError, RunConfigError, default_threads
 from .verify import FAULTS, run_verification
 
 EXIT_OK = 0
@@ -73,8 +74,8 @@ def _load(path: str):
 
 def cmd_count(args) -> int:
     spec = _parse_spec(args)
-    g, order = _load(args.input)
     threads = args.threads if args.threads is not None else default_threads()
+    g, order = _load(args.input)
     if args.method == "list":
         if spec.is_range:
             raise SpecError("--method list supports a single --q; use the pivot engine for ranges")
@@ -91,21 +92,22 @@ def cmd_count(args) -> int:
 
 def cmd_local(args) -> int:
     spec = _parse_spec(args)
-    g, order = _load(args.input)
     threads = args.threads if args.threads is not None else default_threads()
+    g, order = _load(args.input)
     run = count_by_pivot(g, spec, prune=not args.no_prune, threads=threads,
                          local=args.local, order=order)
     orig = g.orig_ids
+    if args.local == "vertex":
+        total = sum(run.local.per_vertex)
+        expect = sum(q * c for q, c in run.counts.items())
+        if total != expect:
+            print(f"verification mismatch: vertex-count column sum {total} "
+                  f"!= sum_q q*count {expect}", file=sys.stderr)
+            return EXIT_MISMATCH
     with open(args.output, "w") as fh:
         if args.local == "vertex":
-            total = 0
             for v, c in enumerate(run.local.per_vertex):
                 fh.write(f"{orig[v]}\t{c}\n")
-                total += c
-            expect = sum(q * c for q, c in run.counts.items())
-            if total != expect:
-                raise AssertionError(
-                    f"vertex-count column sum {total} != sum_q q*count {expect}")
         else:
             for (u, v), c in sorted(run.local.per_edge.items(),
                                     key=lambda kv: (orig[kv[0][0]], orig[kv[0][1]])):
@@ -125,8 +127,8 @@ def cmd_local(args) -> int:
 
 def cmd_profile(args) -> int:
     spec = _parse_spec(args, need_range=True)
-    g, order = _load(args.input)
     threads = args.threads if args.threads is not None else default_threads()
+    g, order = _load(args.input)
     prof = hgp_profile(g, spec.family, spec.s, spec.q_low, spec.q_high,
                        prune=not args.no_prune, threads=threads, order=order)
     print(f"profile {spec.family}(s={spec.s}) vs clique, q in [{spec.q_low},{spec.q_high}]")
@@ -202,8 +204,8 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(name)s: %(message)s")
     try:
         return args.func(args)
-    except SpecError as e:
-        print(f"invalid motif parameters: {e}", file=sys.stderr)
+    except (SpecError, RunConfigError) as e:
+        print(f"invalid motif or run parameters: {e}", file=sys.stderr)
         return EXIT_SPEC
     except CounterOverflowError as e:
         print(f"counter overflow: {e}", file=sys.stderr)

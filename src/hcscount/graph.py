@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -74,6 +76,21 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    @cached_property
+    def nbrs(self) -> list[list[int]]:
+        """Sorted neighbor lists as Python ints, built from the CSR arrays on
+        first use. Per-root preparation runs on these: its sets are tiny, and a
+        NumPy call on them costs more than the work it does."""
+        indices = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return [indices[bounds[u]:bounds[u + 1]] for u in range(self.n)]
+
+    def __getstate__(self) -> dict:
+        # pool workers receive the CSR arrays only and rebuild the lists
+        state = self.__dict__.copy()
+        state.pop("nbrs", None)
+        return state
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighborhoods as bitmasks over 0..n-1 (small graphs only)."""
@@ -188,31 +205,43 @@ class DegeneracyOrder:
 
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
-    """Min-degree peeling with smallest-id tie-break; also yields core numbers."""
+    """Min-degree peeling with smallest-id tie-break; also yields core numbers.
+
+    Vertices wait in one min-heap of ids per current degree; an entry whose
+    vertex has since been peeled or has lost degree is stale and skipped.
+    After a peel at degree d, the minimum degree is at least d - 1.
+    """
     n = g.n
-    deg = g.degrees().astype(np.int64).tolist()
+    adj = g.nbrs
+    deg = [len(nb) for nb in adj]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for u in range(n):
+        buckets[deg[u]].append(u)  # ascending ids: already a heap
     removed = [False] * n
-    order = np.empty(n, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    core = np.zeros(n, dtype=np.int64)
-    heap = [(deg[u], u) for u in range(n)]
-    heapq.heapify(heap)
-    delta = 0
-    for pos in range(n):
+    order: list[int] = []
+    core: list[int] = [0] * n
+    d = delta = 0
+    for _ in range(n):
         while True:
-            d, u = heapq.heappop(heap)
-            if not removed[u] and d == deg[u]:
+            while not buckets[d]:
+                d += 1
+            u = heapq.heappop(buckets[d])
+            if not removed[u] and deg[u] == d:
                 break
         removed[u] = True
         delta = max(delta, d)
         core[u] = delta
-        order[pos] = u
-        rank[u] = pos
-        for v in g.neighbors(u):
+        order.append(u)
+        for v in adj[u]:
             if not removed[v]:
                 deg[v] -= 1
-                heapq.heappush(heap, (deg[v], v))
-    return DegeneracyOrder(order, rank, delta, core)
+                heapq.heappush(buckets[deg[v]], v)
+        d = max(d - 1, 0)
+    rank = [0] * n
+    for pos, u in enumerate(order):
+        rank[u] = pos
+    return DegeneracyOrder(np.array(order, dtype=np.int64), np.array(rank, dtype=np.int64),
+                           delta, np.array(core, dtype=np.int64))
 
 
 @dataclass
@@ -226,7 +255,6 @@ class RootNeighborhood:
 
     root: int
     verts: np.ndarray
-    hop: np.ndarray
     adj: list[int]
     cand_pre: int
 
@@ -259,48 +287,28 @@ def collect_candidates(g: Graph, order: DegeneracyOrder, root: int,
     one = nbrs[rank[nbrs] > rank[root]].astype(np.int64)
     if not two_hop:
         return one, np.zeros(0, dtype=np.int64)
-    if len(nbrs) == 0:
-        return one, np.zeros(0, dtype=np.int64)
-    pooled = np.concatenate([g.neighbors(v) for v in nbrs])
-    cand = np.unique(pooled)
-    cand = cand[(rank[cand] > rank[root]) & (cand != root)]
-    # drop direct neighbors: 2-hop means non-adjacent to the root
-    pos = np.searchsorted(nbrs, cand)
-    pos_c = np.clip(pos, 0, len(nbrs) - 1)
-    is_nbr = nbrs[pos_c] == cand
-    two = cand[~is_nbr].astype(np.int64)
+    adj = g.nbrs
+    pool = set().union(*[adj[v] for v in adj[root]])
+    # 2-hop means non-adjacent to the root
+    pool.difference_update(adj[root])
+    pool.discard(root)
+    cand = np.fromiter(pool, dtype=np.int64, count=len(pool))
+    two = cand[rank[cand] > rank[root]]
+    two.sort()
     return one, two
-
-
-def _mask_from_members(members: np.ndarray, size: int) -> int:
-    bits = np.zeros(size, dtype=bool)
-    bits[members] = True
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def build_root_neighborhood(g: Graph, root: int, one: np.ndarray, two: np.ndarray,
                             cand_pre: int | None = None) -> RootNeighborhood:
     """Assemble local bitmask adjacency over {root} + surviving candidates."""
-    verts = np.concatenate([one, two])
-    verts.sort()
+    verts = sorted(one.tolist() + two.tolist())
     L = len(verts)
-    hop = np.ones(L, dtype=np.uint8)
-    if len(two):
-        hop[np.searchsorted(verts, np.sort(two))] = 2
-    adj: list[int] = [0] * (L + 1)
-    root_bit = 1 << L
-    for i in range(L):
-        u = int(verts[i])
-        nb = g.neighbors(u)
-        pos = np.searchsorted(verts, nb)
-        pos_c = np.clip(pos, 0, max(L - 1, 0))
-        hit = (pos < L) & (verts[pos_c] == nb) if L else np.zeros(0, dtype=bool)
-        mask = _mask_from_members(pos[hit], L) if L else 0
-        if hop[i] == 1:
-            mask |= root_bit
-        adj[i] = mask
-    adj[L] = _mask_from_members(np.flatnonzero(hop == 1), L) if L else 0
-    return RootNeighborhood(root, verts, hop, adj,
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    bit[root] = 1 << L
+    adj = g.nbrs
+    # the bits of distinct members are distinct, so their sum is their OR
+    masks = [sum(map(bit.get, adj[u], repeat(0))) for u in verts + [root]]
+    return RootNeighborhood(root, np.array(verts, dtype=np.int64), masks,
                             cand_pre if cand_pre is not None else L)
 
 

@@ -20,28 +20,23 @@ BOUND_FAULT = 0
 
 def _induced_core(g: Graph, one: np.ndarray, k: int) -> np.ndarray:
     """k-core of the subgraph induced by `one` (peeling to a fixed point)."""
-    L = len(one)
-    local_nbrs: list[np.ndarray] = []
-    for u in one:
-        nb = g.neighbors(int(u))
-        pos = np.searchsorted(one, nb)
-        pos_c = np.clip(pos, 0, L - 1)
-        hit = (pos < L) & (one[pos_c] == nb)
-        local_nbrs.append(pos[hit])
-    deg = np.array([len(x) for x in local_nbrs])
-    alive = np.ones(L, dtype=bool)
-    stack = [i for i in range(L) if deg[i] < k]
+    members = one.tolist()
+    alive = set(members)
+    adj = g.nbrs
+    local_nbrs = {u: alive.intersection(adj[u]) for u in members}
+    deg = {u: len(nb) for u, nb in local_nbrs.items()}
+    stack = [u for u in members if deg[u] < k]
     while stack:
-        i = stack.pop()
-        if not alive[i]:
+        u = stack.pop()
+        if u not in alive:
             continue
-        alive[i] = False
-        for j in local_nbrs[i]:
-            if alive[j]:
-                deg[j] -= 1
-                if deg[j] == k - 1:
-                    stack.append(int(j))
-    return one[alive]
+        alive.discard(u)
+        for v in local_nbrs[u]:
+            if v in alive:
+                deg[v] -= 1
+                if deg[v] == k - 1:
+                    stack.append(v)
+    return np.array([u for u in members if u in alive], dtype=np.int64)
 
 
 def reduce_candidates(g: Graph, one: np.ndarray, two: np.ndarray,
@@ -65,14 +60,9 @@ def reduce_candidates(g: Graph, one: np.ndarray, two: np.ndarray,
     need = (q - s - 1) if family == "dclique" else (q - 2 * s)
     if need <= 0:
         return one, two
-    kept = []
-    for w in two:
-        nb = g.neighbors(int(w))
-        pos = np.searchsorted(one, nb)
-        pos_c = np.clip(pos, 0, max(len(one) - 1, 0))
-        hits = int(((pos < len(one)) & (one[pos_c] == nb)).sum()) if len(one) else 0
-        if hits >= need:
-            kept.append(int(w))
+    core = set(one.tolist())
+    adj = g.nbrs
+    kept = [w for w in two.tolist() if len(core.intersection(adj[w])) >= need]
     return one, np.array(kept, dtype=np.int64)
 
 

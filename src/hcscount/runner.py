@@ -61,10 +61,17 @@ class RunStats:
         return self.comb_credits / total
 
 
+class RunConfigError(ValueError):
+    """A run parameter (such as HCS_THREADS) is invalid."""
+
+
 def default_threads() -> int:
     env = os.environ.get("HCS_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise RunConfigError(f"HCS_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -1,0 +1,110 @@
+"""Per-root preparation against a naive set-based reference.
+
+The reference rebuilds each root's search universe from ``g.edge_list()``
+with plain Python sets: raw 1-hop/2-hop candidates, the induced core peel,
+the 2-hop common-neighbor threshold and the local bitmask adjacency.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from hcscount import MotifSpec, count_by_pivot, degeneracy_order, from_edges, random_gnp
+from hcscount.runner import RunStats, prepare_root
+
+
+def planted_graph(seed: int):
+    """Sparse G(70, 0.04) background with three planted blocks at p = 0.8."""
+    rng = np.random.default_rng(seed)
+    n = 70
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.04]
+    members = rng.permutation(n)
+    start = 0
+    for size in (9, 11, 13):
+        block = sorted(members[start:start + size].tolist())
+        start += size
+        pairs += [(u, v) for i, u in enumerate(block) for v in block[i + 1:]
+                  if rng.random() < 0.8]
+    return from_edges(pairs, vertex_universe=np.arange(n))
+
+
+GRAPHS = [random_gnp(30, 0.15, seed=11), random_gnp(24, 0.4, seed=12),
+          random_gnp(18, 0.6, seed=13), planted_graph(14)]
+
+
+def specs():
+    """Every family and s in 0..2, q at the admissibility floor and above,
+    plus one range (reduced with its q_low)."""
+    out = [MotifSpec.single("clique", 0, q) for q in (2, 3, 4, 5)]
+    for family, floor in (("dclique", lambda s: s + 2), ("plex", lambda s: 2 * s + 1)):
+        for s in (0, 1, 2):
+            out += [MotifSpec.single(family, s, floor(s) + d) for d in (0, 1, 3)]
+    out.append(MotifSpec("plex", 1, 4, 8))
+    return out
+
+
+def naive_prepare(edges, rank, root, spec, prune):
+    """(verts, adj, cand_pre, cand_now) of one root, from sets only."""
+    nb = {}
+    for u, v in edges:
+        nb.setdefault(u, set()).add(v)
+        nb.setdefault(v, set()).add(u)
+    near = nb.get(root, set())
+    one = {v for v in near if rank[v] > rank[root]}
+    two = set()
+    if spec.s >= 1:
+        for v in near:
+            two |= {w for w in nb[v] if w != root and w not in near and rank[w] > rank[root]}
+    cand_pre = len(one) + len(two)
+    if prune:
+        s, q = spec.s, spec.q_low
+        core_k = q - 2 * s - 2 if spec.family == "plex" else q - s - 2
+        while True:
+            weak = {u for u in one if len(nb[u] & one) < core_k}
+            if not weak:
+                break
+            one -= weak
+        need = q - 2 * s if spec.family == "plex" else q - s - 1
+        if spec.family == "clique":
+            two = set()
+        elif need > 0:
+            two = {w for w in two if len(nb[w] & one) >= need}
+    verts = sorted(one | two)
+    ids = verts + [root]
+    adj = [sum(1 << j for j, x in enumerate(ids) if x in nb.get(u, ()))
+           for u in ids]
+    return verts, adj, cand_pre, len(verts)
+
+
+@pytest.mark.parametrize("gi", range(len(GRAPHS)))
+def test_prepare_root_matches_naive_reference(gi):
+    g = GRAPHS[gi]
+    order = degeneracy_order(g)
+    edges = g.edge_list()
+    rank = order.rank.tolist()
+    for spec in specs():
+        for prune in (True, False):
+            for root in order.order.tolist():
+                rn = prepare_root(g, order, root, spec, prune, RunStats())
+                got = ([int(v) for v in rn.verts], rn.adj, rn.cand_pre, rn.cand_now)
+                want = naive_prepare(edges, rank, root, spec, prune)
+                assert got == want, (gi, spec, prune, root)
+
+
+def test_planted_graph_reduction_removes_candidates():
+    g = GRAPHS[-1]
+    stats = RunStats()
+    order = degeneracy_order(g)
+    for root in order.order.tolist():
+        prepare_root(g, order, root, MotifSpec.single("dclique", 1, 6), True, stats)
+    assert stats.cand_now < stats.cand_pre / 2
+
+
+def test_pickled_graph_stays_csr_only():
+    g = random_gnp(30, 0.3, seed=5)
+    before = len(pickle.dumps(g))
+    count_by_pivot(g, MotifSpec.single("plex", 1, 4), threads=1)
+    assert len(pickle.dumps(g)) == before
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy.nbrs == g.nbrs

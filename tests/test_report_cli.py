@@ -49,6 +49,35 @@ class TestExitCodes:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_bad_hcs_threads_is_2(self, ref7_file, capsys, monkeypatch):
+        monkeypatch.setenv("HCS_THREADS", "abc")
+        rc = main(["count", "--input", ref7_file, "--motif", "plex",
+                   "--s", "1", "--q", "4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "HCS_THREADS" in line] == [
+            "invalid motif or run parameters: HCS_THREADS must be an integer, got 'abc'"]
+        assert "Traceback" not in err
+
+    def test_local_column_sum_mismatch_is_3(self, ref7_file, tmp_path, capsys,
+                                            monkeypatch):
+        import hcscount.cli as cli
+
+        def skewed(*args, **kwargs):
+            run = count_by_pivot(*args, **kwargs)
+            run.local.per_vertex[0] += 1
+            return run
+
+        monkeypatch.setattr(cli, "count_by_pivot", skewed)
+        out = tmp_path / "verts.tsv"
+        rc = main(["local", "--input", ref7_file, "--motif", "plex", "--s", "1",
+                   "--q", "4", "--local", "vertex", "--output", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "column sum 101 != sum_q q*count 100" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_verify_pass_is_0(self):
         assert main(["verify", "--seeds", "1", "--q-max", "4"]) == 0
 
