@@ -14,15 +14,15 @@ from .motifs import (FAMILIES, DcliqueState, MotifSpec, PlexState, SpecError,
                      is_hcs, missing_edges, vertex_deficiency)
 from .oracle import (OracleInfeasibleError, OracleResult, brute_force_count,
                      brute_force_pivot_check, sweep)
-from .pivot import (BinomialTable, LocalCounts, PivotDecision, PivotRun, binom,
-                    count_by_pivot, count_local, knapsack_counts, knapsack_table,
-                    select_pivot_dclique, select_pivot_plex)
+from .pivot import (LocalCounts, PivotDecision, PivotRun, binom, count_by_pivot,
+                    count_local, knapsack_counts, knapsack_table, select_pivot_dclique,
+                    select_pivot_plex)
 from .runner import CounterOverflowError, RunStats
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialTable", "CounterOverflowError", "DcliqueState", "DegeneracyOrder",
+    "CounterOverflowError", "DcliqueState", "DegeneracyOrder",
     "FAMILIES", "Graph", "ListRun", "LoadStats", "LocalCounts", "MotifSpec",
     "OracleInfeasibleError", "OracleResult", "ParseError", "PivotDecision",
     "PivotRun", "PlexState", "RootNeighborhood", "RunStats", "SpecError",

@@ -181,7 +181,7 @@ def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
         return
     for root in order.order:
         rn = prepare_root(g, order, int(root), spec, prune, stats)
-        verts = [int(v) for v in rn.verts] + [int(rn.root)]
+        verts = rn.verts.tolist() + [int(rn.root)]
         adj = rn.adj
 
         if spec.family == "clique":

@@ -17,6 +17,7 @@ per-vertex/per-edge local counts.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -26,23 +27,9 @@ from .pruning import upper_bound_dclique, upper_bound_plex
 from .runner import RunStats, check_counter, prepare_root, run_over_roots
 
 
-class BinomialTable:
-    """Exact Pascal rows, grown on demand."""
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = [[1]]
-
-    def binom(self, n: int, k: int) -> int:
-        if k < 0 or n < 0 or k > n:
-            return 0
-        while len(self._rows) <= n:
-            prev = self._rows[-1]
-            self._rows.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-        return self._rows[n][k]
-
-
-_BINOM = BinomialTable()
-binom = _BINOM.binom
+def binom(n: int, k: int) -> int:
+    """C(n, k), and 0 outside 0 <= k <= n."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def knapsack_table(weights: list[int], budget: int, k_max: int) -> list[list[int]]:
@@ -199,7 +186,7 @@ class _RootLocal:
     __slots__ = ("verts", "adj", "want_v", "want_e", "pv", "pe")
 
     def __init__(self, rn: RootNeighborhood, want_v: bool, want_e: bool):
-        self.verts = [int(v) for v in rn.verts] + [int(rn.root)]
+        self.verts = rn.verts.tolist() + [int(rn.root)]
         self.adj = rn.adj
         self.want_v = want_v
         self.want_e = want_e

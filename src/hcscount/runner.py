@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import pruning
 from .graph import (DegeneracyOrder, Graph, RootNeighborhood,
                     build_root_neighborhood, collect_candidates, degeneracy_order)
 from .motifs import MotifSpec
@@ -94,13 +97,61 @@ def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,
     return rn
 
 
+class RunConfig(NamedTuple):
+    """The fault knobs of one run, frozen when the run starts.
+
+    Pool workers may outlive the call that started them, so they are sent
+    this with every chunk instead of inheriting the knobs at fork.
+    """
+
+    bound_fault: int
+    counter_limit: int | None
+
+    @classmethod
+    def current(cls) -> "RunConfig":
+        return cls(pruning.BOUND_FAULT, COUNTER_LIMIT)
+
+    def apply(self) -> None:
+        global COUNTER_LIMIT
+        pruning.BOUND_FAULT = self.bound_fault
+        COUNTER_LIMIT = self.counter_limit
+
+
+def _run_chunk(config: RunConfig, root_worker, *args):
+    config.apply()
+    return root_worker(*args)
+
+
+# One pool per process, kept across calls with the same thread count;
+# concurrent.futures joins its workers at interpreter exit.
+_pool: ProcessPoolExecutor | None = None
+_pool_threads = 0
+
+
+def _shared_pool(threads: int) -> ProcessPoolExecutor:
+    global _pool, _pool_threads
+    if _pool is None or _pool_threads != threads:
+        _drop_pool()
+        _pool = ProcessPoolExecutor(max_workers=threads)
+        _pool_threads = threads
+    return _pool
+
+
+def _drop_pool() -> None:
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_over_roots(root_worker, g: Graph, spec: MotifSpec, *, prune: bool,
                    threads: int, order: DegeneracyOrder | None = None):
     """Map a per-root-chunk worker over all roots; yields partial results.
 
     The worker signature is worker(g, order, spec, prune, roots) -> partial.
     Roots are processed in degeneracy-rank order; with threads == 1 the call
-    runs inline (canonical recursion for debugging).
+    runs inline (canonical recursion for debugging). With threads > 1 the
+    chunks go to the process's shared pool, each with the run's RunConfig.
     """
     if order is None:
         order = degeneracy_order(g)
@@ -111,7 +162,18 @@ def run_over_roots(root_worker, g: Graph, spec: MotifSpec, *, prune: bool,
     n_chunks = threads * 4
     size = max(1, (len(roots) + n_chunks - 1) // n_chunks)
     chunks = [roots[i:i + size] for i in range(0, len(roots), size)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(root_worker, g, order, spec, prune, c) for c in chunks]
+    config = RunConfig.current()
+    pool = _shared_pool(threads)
+    futures = []
+    try:
+        for c in chunks:
+            futures.append(pool.submit(_run_chunk, config, root_worker, g, order, spec,
+                                       prune, c))
         for f in futures:
             yield f.result()
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
+    finally:
+        for f in futures:
+            f.cancel()
