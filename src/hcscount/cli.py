@@ -19,7 +19,7 @@ from .listing import count_by_listing
 from .motifs import MotifSpec, SpecError
 from .pivot import count_by_pivot
 from .report import hgp_profile, make_report
-from .runner import CounterOverflowError, RunConfigError, default_threads
+from .runner import CounterOverflowError, RunConfigError, resolve_threads
 from .verify import FAULTS, run_verification
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def _load(path: str):
 
 def cmd_count(args) -> int:
     spec = _parse_spec(args)
-    threads = args.threads if args.threads is not None else default_threads()
+    threads = resolve_threads(args.threads)
     g, order = _load(args.input)
     if args.method == "list":
         if spec.is_range:
@@ -92,7 +92,7 @@ def cmd_count(args) -> int:
 
 def cmd_local(args) -> int:
     spec = _parse_spec(args)
-    threads = args.threads if args.threads is not None else default_threads()
+    threads = resolve_threads(args.threads)
     g, order = _load(args.input)
     run = count_by_pivot(g, spec, prune=not args.no_prune, threads=threads,
                          local=args.local, order=order)
@@ -127,7 +127,7 @@ def cmd_local(args) -> int:
 
 def cmd_profile(args) -> int:
     spec = _parse_spec(args, need_range=True)
-    threads = args.threads if args.threads is not None else default_threads()
+    threads = resolve_threads(args.threads)
     g, order = _load(args.input)
     prof = hgp_profile(g, spec.family, spec.s, spec.q_low, spec.q_high,
                        prune=not args.no_prune, threads=threads, order=order)

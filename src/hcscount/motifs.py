@@ -2,15 +2,24 @@
 
 Three families are supported: clique, s-defective clique (dclique: at most s
 missing edges in total) and s-plex (every member misses at most s others).
-Search engines keep membership checks O(1) through two bookkeeping schemes:
+Both search engines drive one state object per root through one interface:
 
-* dclique: integer array A where A[v] counts v's non-neighbors inside the
-  growing set R, plus the running total of missing edges of R;
+* ``R``: the growing set; ``push(u)`` / ``pop()`` grow and shrink it;
+* ``filter_candidates(C, u)``: the candidates that still extend R after u's
+  push; ``filter_pivots(D, u)``: the same for the pivot engine's set D;
+* ``leaf_weights(D)``: knapsack weights of D's members and the budget they
+  share, or None when every subset of D completes R.
+
+Membership checks stay O(1) through per-family bookkeeping:
+
+* clique: none; candidates are cut to the common neighborhood;
+* dclique: integer array A where A[v] counts v's non-neighbors inside R;
 * plex: list array As where As[v] holds exactly the members of R that are
   non-adjacent to v.
 
-Both are maintained over a fixed local universe (bitmask adjacency) with
-exact push/pop inverses.
+dclique and plex also keep the running total of missing edges of R. All are
+maintained over a fixed local universe (bitmask adjacency) with exact
+push/pop inverses.
 """
 
 from __future__ import annotations
@@ -104,6 +113,37 @@ def is_hcs(spec: MotifSpec, g: Graph, Q) -> bool:
     return missing_edges(g, Q) == 0
 
 
+def iter_bits(x: int):
+    """Set bit positions of x, lowest first."""
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
+
+
+class CliqueState:
+    """R over a bitmask universe; every candidate is adjacent to all of R."""
+
+    __slots__ = ("adj", "R", "push", "pop")
+
+    def __init__(self, adj: list[int], s: int = 0):
+        """s is always 0 for cliques; it is taken so that every state is
+        built the same way."""
+        self.adj = adj
+        self.R: list[int] = []
+        self.push = self.R.append
+        self.pop = self.R.pop
+
+    def filter_candidates(self, C: int, u: int) -> int:
+        """Members of C adjacent to u (u just pushed)."""
+        return self.adj[u] & C
+
+    filter_pivots = filter_candidates
+
+    def leaf_weights(self, D: int) -> None:
+        return None
+
+
 class DcliqueState:
     """R, m̄(R), and A[v] = m̄(v, R) over a bitmask universe."""
 
@@ -140,7 +180,7 @@ class DcliqueState:
         self.total_missing -= A[u]
         return u
 
-    def filter_candidates(self, C: int) -> int:
+    def filter_candidates(self, C: int, u: int | None = None) -> int:
         """Candidates v that keep R + {v} within budget (call after a push)."""
         budget = self.s - self.total_missing
         A = self.A
@@ -152,6 +192,15 @@ class DcliqueState:
                 out |= b
             w ^= b
         return out
+
+    # a pivot whose deficiency exceeds the budget can never complete R again,
+    # since the budget only shrinks below this node
+    filter_pivots = filter_candidates
+
+    def leaf_weights(self, D: int) -> tuple[list[int], int]:
+        """Deficiencies of D's members (lowest bit first) and the edge budget."""
+        A = self.A
+        return [A[d] for d in iter_bits(D)], self.s - self.total_missing
 
     def recompute(self) -> tuple[int, list[int]]:
         """From-scratch (total_missing, A) for consistency checks."""
@@ -170,9 +219,9 @@ class DcliqueState:
 
 
 class PlexState:
-    """R and As[v] = members of R non-adjacent to v, over a bitmask universe."""
+    """R, m̄(R), and As[v] = members of R non-adjacent to v, over a bitmask universe."""
 
-    __slots__ = ("adj", "nonadj", "s", "R", "As")
+    __slots__ = ("adj", "nonadj", "s", "R", "total_missing", "As")
 
     def __init__(self, adj: list[int], s: int):
         self.adj = adj
@@ -180,6 +229,7 @@ class PlexState:
         self.nonadj = [full & ~a & ~(1 << i) for i, a in enumerate(adj)]
         self.s = s
         self.R: list[int] = []
+        self.total_missing = 0
         self.As: list[list[int]] = [[] for _ in adj]
 
     def push(self, u: int) -> None:
@@ -187,6 +237,7 @@ class PlexState:
         assert len(As[u]) <= self.s, "push would exceed the per-vertex budget"
         assert all(len(As[v]) < self.s for v in As[u]), \
             "push would saturate a member past its budget"
+        self.total_missing += len(As[u])
         w = self.nonadj[u]
         while w:
             b = w & -w
@@ -202,6 +253,7 @@ class PlexState:
             b = w & -w
             As[b.bit_length() - 1].pop()
             w ^= b
+        self.total_missing -= len(As[u])
         return u
 
     def filter_candidates(self, C: int, u: int) -> int:
@@ -228,9 +280,13 @@ class PlexState:
             out &= adj[u]
         return out
 
-    def deficiency(self, v: int) -> int:
-        """m̄(v, R) for any universe vertex (members of R excluded from their own count)."""
-        return len(self.As[v])
+    def filter_pivots(self, D: int, u: int) -> int:
+        """D unchanged: a plex pivot is admitted only when it extends every
+        leaf reachable below it (see plex_pivot_qualifiers)."""
+        return D
+
+    def leaf_weights(self, D: int) -> None:
+        return None
 
     def recompute(self) -> list[list[int]]:
         """From-scratch As for consistency checks."""

@@ -3,13 +3,19 @@ combinatorially from an accumulated pivot set D.
 
 Every node splits its candidates into a hold-out side C1 = N(u_p) ∩ C and a
 branching side C2. An admitted pivot joins D instead of being branched on;
-at leaves, subsets of D complete the current set R without being listed:
+at leaves, subsets of D complete the current set R without being listed.
 
-* clique: D is pruned to N(v) on every branch, so any k of D extend R;
-* dclique: D always induces a clique, so a k-subset H is valid exactly when
-  its members' deficiencies fit the remaining edge budget (0/1 knapsack);
-* plex: pivots are admitted only under a slack condition that keeps every
-  k-subset of D valid at every reachable leaf.
+One recursion serves every family through its state object (motifs.py) and
+the FAMILY_RULES entry (state, pivot rule, branch bound). Invariant: D is a
+clique, and after every push the family's filter_pivots drops the members of
+D that can no longer complete R; R only grows below the push, so a dropped
+member never could again. Hence:
+
+* closure leaf (|R| = q_high - 1): every member of C | D completes R;
+* combinatorial leaf (C empty): the family's leaf_weights(D) decides which
+  k-subsets of D complete R. clique and plex return None: any k of D do, a
+  binomial. dclique returns its members' deficiencies: a k-subset fits when
+  their sum stays within the remaining edge budget (0/1 knapsack).
 
 One traversal yields counts for all sizes in [q_low, q_high] and, on demand,
 per-vertex/per-edge local counts.
@@ -20,9 +26,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .graph import DegeneracyOrder, Graph, RootNeighborhood
-from .motifs import DcliqueState, MotifSpec, PlexState
+from .motifs import CliqueState, DcliqueState, MotifSpec, PlexState, iter_bits
 from .pruning import upper_bound_dclique, upper_bound_plex
 from .runner import RunStats, check_counter, prepare_root, run_over_roots
 
@@ -114,7 +121,7 @@ def plex_pivot_qualifiers(state: PlexState, C: int) -> list[int]:
         if len(As[v]) + (nC - (adj[v] & C).bit_count()) > s - 1:
             heavy_r |= 1 << v
     if heavy_r == 0:
-        return list(_iter_bits(C))
+        return list(iter_bits(C))
     out = []
     w = C
     while w:
@@ -131,25 +138,37 @@ def select_pivot_plex(state: PlexState, C: int) -> PivotDecision:
     vertex without admitting it (it stays in the branching side)."""
     adj = state.adj
     qual = plex_pivot_qualifiers(state, C)
-    if qual:
-        best, best_deg = -1, -1
-        for u in qual:
-            d = (adj[u] & C).bit_count()
-            if d > best_deg:
-                best, best_deg = u, d
-        C1 = adj[best] & C
-        return PivotDecision(best, C1, C & ~C1 & ~(1 << best))
+    if not qual:
+        dec = select_pivot_dclique(state, C)
+        return PivotDecision(None, dec.C1, C & ~dec.C1)
     best, best_deg = -1, -1
-    w = C
-    while w:
-        b = w & -w
-        u = b.bit_length() - 1
-        w ^= b
+    for u in qual:
         d = (adj[u] & C).bit_count()
         if d > best_deg:
             best, best_deg = u, d
     C1 = adj[best] & C
-    return PivotDecision(None, C1, C & ~C1)
+    return PivotDecision(best, C1, C & ~C1 & ~(1 << best))
+
+
+class Family(NamedTuple):
+    """How both engines search one family: its state class, the pivot rule
+    (pivot engine only) and the branch bound (applied when pruning)."""
+
+    state: type
+    select_pivot: Callable[..., PivotDecision]
+    bound: Callable[..., int] | None
+
+    def root_state(self, rn: RootNeighborhood, s: int):
+        state = self.state(rn.adj, s)
+        state.push(rn.root_local)
+        return state
+
+
+FAMILY_RULES = {
+    "clique": Family(CliqueState, select_pivot_dclique, None),
+    "dclique": Family(DcliqueState, select_pivot_dclique, upper_bound_dclique),
+    "plex": Family(PlexState, select_pivot_plex, upper_bound_plex),
+}
 
 
 @dataclass
@@ -193,17 +212,14 @@ class _RootLocal:
         self.pv = [0] * len(self.verts) if want_v else None
         self.pe: dict[tuple[int, int], int] | None = {} if want_e else None
 
-    def credit_set_members(self, R: list[int], extra: int | None, amount: int) -> None:
-        """One concrete result R (+extra): every member and induced edge gains amount."""
+    def credit_set_members(self, R: list[int], amount: int) -> None:
+        """One concrete result R: every member and induced edge gains amount."""
         if self.want_v:
             pv = self.pv
             for r in R:
                 pv[r] += amount
-            if extra is not None:
-                pv[extra] += amount
         if self.want_e:
-            members = R if extra is None else R + [extra]
-            self._edges_within(members, amount)
+            self._edges_within(R, amount)
 
     def _edges_within(self, members: list[int], amount: int) -> None:
         adj = self.adj
@@ -293,18 +309,22 @@ class _RootLocal:
                         pe[key] = pe.get(key, 0) + 1
 
 
-def _iter_bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
-def _pivot_root_clique(rn: RootNeighborhood, q_lo: int, q_hi: int,
-                       counts: dict[int, int], stats: RunStats,
-                       scratch: _RootLocal | None, probe=None) -> None:
+def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool,
+                counts: dict[int, int], stats: RunStats, scratch: _RootLocal | None,
+                probe=None, debug_checks: bool = False) -> None:
+    q_lo, q_hi = spec.q_low, spec.q_high
+    if 1 + rn.cand_mask.bit_count() < q_lo:
+        stats.nodes += 1  # the root node, cut by the size check
+        return
     adj = rn.adj
-    R = [rn.root_local]
+    close_lo = q_hi - 1 >= q_lo
+    state = rules.root_state(rn, spec.s)
+    R = state.R
+    push, pop = state.push, state.pop
+    filter_candidates, filter_pivots = state.filter_candidates, state.filter_pivots
+    leaf_weights = state.leaf_weights
+    select_pivot = rules.select_pivot
+    bound = rules.bound if prune else None
 
     def comb_leaf(D: int) -> None:
         nR, nD = len(R), D.bit_count()
@@ -312,233 +332,89 @@ def _pivot_root_clique(rn: RootNeighborhood, q_lo: int, q_hi: int,
         k_hi = min(nD, q_hi - nR)
         if k_hi < k_lo:
             return
+        weighted = leaf_weights(D)
+        if weighted is not None:
+            weights, budget = weighted
+            dp = knapsack_table(weights, budget, k_hi)
         tot = 0
         for k in range(k_lo, k_hi + 1):
-            c = binom(nD, k)
+            c = binom(nD, k) if weighted is None else sum(dp[k])
             counts[nR + k] += c
             tot += c
         stats.comb_credits += tot
-        if scratch is not None:
-            one = sum(binom(nD - 1, k - 1) for k in range(k_lo, k_hi + 1))
-            two = sum(binom(nD - 2, k - 2) for k in range(k_lo, k_hi + 1))
-            scratch.credit_combinatorial(R, list(_iter_bits(D)), tot,
-                                         lambda d: one, lambda a, b: two)
+        if scratch is None or not tot:
+            return
+        members = list(iter_bits(D))
+        if weighted is None:
+            one = sum(binom(nD - 1, k - 1) for k in range(max(k_lo, 1), k_hi + 1))
+            two = sum(binom(nD - 2, k - 2) for k in range(max(k_lo, 2), k_hi + 1))
+            scratch.credit_combinatorial(R, members, tot, lambda d: one, lambda a, b: two)
+            return
+        weight = dict(zip(members, weights))
+        removed = {d: knapsack_remove(dp, weight[d], budget) for d in members}
+
+        def one_w(d: int) -> int:
+            rb = budget - weight[d]
+            if rb < 0:
+                return 0
+            dpw = removed[d]
+            return sum(sum(dpw[k - 1][:rb + 1]) for k in range(max(k_lo, 1), k_hi + 1))
+
+        def two_w(d: int, d2: int) -> int:
+            rb = budget - weight[d] - weight[d2]
+            if rb < 0:
+                return 0
+            dpw = knapsack_remove(removed[d], weight[d2], budget)
+            return sum(sum(dpw[k - 2][:rb + 1]) for k in range(max(k_lo, 2), k_hi + 1))
+
+        scratch.credit_combinatorial(R, members, tot, one_w, two_w)
 
     def rec(C: int, D: int) -> None:
         stats.nodes += 1
-        nR = len(R)
-        if nR + C.bit_count() + D.bit_count() < q_lo:
+        nR, nD = len(R), D.bit_count()
+        if nR + C.bit_count() + nD < q_lo:
             return
+        if debug_checks:
+            assert all(not (D & ~adj[d] & ~(1 << d)) for d in iter_bits(D)), \
+                "accumulated pivot set must induce a clique"
         if nR == q_hi - 1:
             xs = C | D
             n_new = xs.bit_count()
             counts[q_hi] += n_new
             stats.closure_credits += n_new
-            if q_hi - 1 >= q_lo:
+            if close_lo:
                 counts[q_hi - 1] += 1
                 stats.closure_credits += 1
             if scratch is not None:
-                scratch.credit_closures(R, list(_iter_bits(xs)))
-                if q_hi - 1 >= q_lo:
-                    scratch.credit_set_members(R, None, 1)
+                scratch.credit_closures(R, list(iter_bits(xs)))
+                if close_lo:
+                    scratch.credit_set_members(R, 1)
             return
         if C == 0:
             comb_leaf(D)
             return
-        best, best_deg = -1, -1
-        for u in _iter_bits(C):
-            d = (adj[u] & C).bit_count()
-            if d > best_deg:
-                best, best_deg = u, d
-        if probe is not None:
-            probe(rn, R, C, PivotDecision(best, adj[best] & C,
-                                          C & ~adj[best] & ~(1 << best)))
-        C1 = adj[best] & C
-        rec(C1, (D | (1 << best)))
-        Crem = C & ~(1 << best)
-        for v in _iter_bits(Crem & ~adj[best]):
-            bv = 1 << v
-            Crem ^= bv
-            stats.branch_iters += 1
-            Cv = adj[v] & Crem
-            Dv = adj[v] & D
-            R.append(v)
-            rec(Cv, Dv)
-            R.pop()
-
-    rec(rn.cand_mask, 0)
-
-
-def _pivot_root_dclique(rn: RootNeighborhood, s: int, q_lo: int, q_hi: int,
-                        counts: dict[int, int], stats: RunStats,
-                        scratch: _RootLocal | None, prune: bool,
-                        probe=None, debug_checks: bool = False) -> None:
-    adj = rn.adj
-    state = DcliqueState(adj, s)
-    state.push(rn.root_local)
-    A = state.A
-    R = state.R
-    D: list[int] = []
-
-    def comb_leaf() -> None:
-        nR, nD = len(R), len(D)
-        k_lo = max(0, q_lo - nR)
-        k_hi = min(nD, q_hi - nR)
-        if k_hi < k_lo:
-            return
-        budget = s - state.total_missing
-        weights = [A[d] for d in D]
-        dp = knapsack_table(weights, budget, k_hi)
-        tot_k = [sum(dp[k]) for k in range(k_hi + 1)]
-        tot = 0
-        for k in range(k_lo, k_hi + 1):
-            counts[nR + k] += tot_k[k]
-            tot += tot_k[k]
-        stats.comb_credits += tot
-        if scratch is not None and tot:
-            removed = {d: knapsack_remove(dp, A[d], budget) for d in D}
-
-            def one(d: int) -> int:
-                rb = budget - A[d]
-                if rb < 0:
-                    return 0
-                dpw = removed[d]
-                return sum(sum(dpw[k - 1][:rb + 1])
-                           for k in range(max(k_lo, 1), k_hi + 1))
-
-            def two(d: int, d2: int) -> int:
-                rb = budget - A[d] - A[d2]
-                if rb < 0:
-                    return 0
-                dpw = knapsack_remove(removed[d], A[d2], budget)
-                return sum(sum(dpw[k - 2][:rb + 1])
-                           for k in range(max(k_lo, 2), k_hi + 1))
-
-            scratch.credit_combinatorial(R, D, tot, one, two)
-
-    def rec(C: int) -> None:
-        stats.nodes += 1
-        nR, nD = len(R), len(D)
-        if nR + C.bit_count() + nD < q_lo:
-            return
-        if debug_checks:
-            assert all((adj[D[i]] >> D[j]) & 1
-                       for i in range(nD) for j in range(i + 1, nD)), \
-                "accumulated pivot set must induce a clique"
-        if nR == q_hi - 1:
-            budget = s - state.total_missing
-            xs = list(_iter_bits(C)) + [d for d in D if A[d] <= budget]
-            counts[q_hi] += len(xs)
-            stats.closure_credits += len(xs)
-            if q_hi - 1 >= q_lo:
-                counts[q_hi - 1] += 1
-                stats.closure_credits += 1
-            if scratch is not None:
-                scratch.credit_closures(R, xs)
-                if q_hi - 1 >= q_lo:
-                    scratch.credit_set_members(R, None, 1)
-            return
-        if C == 0:
-            comb_leaf()
-            return
-        dec = select_pivot_dclique(state, C)
+        dec = select_pivot(state, C)
         if probe is not None:
             probe(rn, R, C, dec)
-        D.append(dec.pivot)
-        rec(dec.C1)
-        D.pop()
+        rec(dec.C1, D if dec.pivot is None else D | (1 << dec.pivot))
         # the pivot leaves the branching side but stays a candidate: results
         # pairing it with a branch vertex are listed inside that branch
         Crem = C
-        for v in _iter_bits(dec.C2):
-            bv = 1 << v
-            Crem ^= bv
+        w = dec.C2
+        while w:
+            b = w & -w
+            v = b.bit_length() - 1
+            w ^= b
+            Crem ^= b
             stats.branch_iters += 1
-            if prune and upper_bound_dclique(state, v, Crem) + nD < q_lo:
+            if bound is not None and bound(state, v, Crem) + nD < q_lo:
                 stats.bound_pruned += 1
                 continue
-            state.push(v)
-            Cv = state.filter_candidates(Crem)
-            rec(Cv)
-            state.pop()
+            push(v)
+            rec(filter_candidates(Crem, v), filter_pivots(D, v))
+            pop()
 
-    rec(rn.cand_mask)
-
-
-def _pivot_root_plex(rn: RootNeighborhood, s: int, q_lo: int, q_hi: int,
-                     counts: dict[int, int], stats: RunStats,
-                     scratch: _RootLocal | None, prune: bool,
-                     probe=None) -> None:
-    adj = rn.adj
-    state = PlexState(adj, s)
-    state.push(rn.root_local)
-    R = state.R
-    D: list[int] = []
-
-    def comb_leaf() -> None:
-        nR, nD = len(R), len(D)
-        k_lo = max(0, q_lo - nR)
-        k_hi = min(nD, q_hi - nR)
-        if k_hi < k_lo:
-            return
-        tot = 0
-        for k in range(k_lo, k_hi + 1):
-            c = binom(nD, k)
-            counts[nR + k] += c
-            tot += c
-        stats.comb_credits += tot
-        if scratch is not None and tot:
-            one = sum(binom(nD - 1, k - 1) for k in range(max(k_lo, 1), k_hi + 1))
-            two = sum(binom(nD - 2, k - 2) for k in range(max(k_lo, 2), k_hi + 1))
-            scratch.credit_combinatorial(R, D, tot, lambda d: one, lambda a, b: two)
-
-    def rec(C: int) -> None:
-        stats.nodes += 1
-        nR, nD = len(R), len(D)
-        if nR + C.bit_count() + nD < q_lo:
-            return
-        if nR == q_hi - 1:
-            xs = list(_iter_bits(C)) + D
-            counts[q_hi] += len(xs)
-            stats.closure_credits += len(xs)
-            if q_hi - 1 >= q_lo:
-                counts[q_hi - 1] += 1
-                stats.closure_credits += 1
-            if scratch is not None:
-                scratch.credit_closures(R, xs)
-                if q_hi - 1 >= q_lo:
-                    scratch.credit_set_members(R, None, 1)
-            return
-        if C == 0:
-            comb_leaf()
-            return
-        dec = select_pivot_plex(state, C)
-        if probe is not None:
-            probe(rn, R, C, dec)
-        if dec.pivot is not None:
-            D.append(dec.pivot)
-            rec(dec.C1)
-            D.pop()
-        else:
-            rec(dec.C1)
-        # branch candidates keep the pivot (it only leaves the branching side)
-        Crem = C
-        budget = None
-        if prune:
-            budget = sum(s - len(state.As[v]) for v in R)
-        for v in _iter_bits(dec.C2):
-            bv = 1 << v
-            Crem ^= bv
-            stats.branch_iters += 1
-            if prune and upper_bound_plex(state, v, Crem, budget) + nD < q_lo:
-                stats.bound_pruned += 1
-                continue
-            state.push(v)
-            Cv = state.filter_candidates(Crem, v)
-            rec(Cv)
-            state.pop()
-
-    rec(rn.cand_mask)
+    rec(rn.cand_mask, 0)
 
 
 def _pivot_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool,
@@ -550,17 +426,11 @@ def _pivot_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool
     if want_v or want_e:
         acc = LocalCounts(per_vertex=[0] * g.n if want_v else None,
                           per_edge={} if want_e else None)
+    rules = FAMILY_RULES[spec.family]
     for root in roots:
         rn = prepare_root(g, order, root, spec, prune, stats)
         scratch = _RootLocal(rn, want_v, want_e) if acc is not None else None
-        if spec.family == "clique":
-            _pivot_root_clique(rn, spec.q_low, spec.q_high, counts, stats, scratch, probe)
-        elif spec.family == "dclique":
-            _pivot_root_dclique(rn, spec.s, spec.q_low, spec.q_high, counts, stats,
-                                scratch, prune, probe, debug_checks)
-        else:
-            _pivot_root_plex(rn, spec.s, spec.q_low, spec.q_high, counts, stats,
-                             scratch, prune, probe)
+        _pivot_root(rn, rules, spec, prune, counts, stats, scratch, probe, debug_checks)
         if scratch is not None:
             scratch.flush_into(acc)
         check_counter(max(counts.values(), default=0))

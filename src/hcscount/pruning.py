@@ -100,17 +100,17 @@ def upper_bound_dclique(state: DcliqueState, u: int, C: int) -> int:
     return r1 + min(slack, non_nbr) + omega - BOUND_FAULT
 
 
-def upper_bound_plex(state: PlexState, u: int, C: int, shared_budget: int | None = None) -> int:
+def upper_bound_plex(state: PlexState, u: int, C: int) -> int:
     """Largest plex size reachable by branching on u (u already out of C).
 
-    Middle term: neighbors of u admitted greedily against the total slack of
-    the members sum(s - m̄(v,R)); last term: non-neighbors u can still afford.
+    Middle term: neighbors of u admitted greedily against the members' total
+    slack sum(s - m̄(v,R)) = s|R| - 2m̄(R); last term: non-neighbors u can
+    still afford.
     """
     s = state.s
     As = state.As
-    if shared_budget is None:
-        shared_budget = sum(s - len(As[v]) for v in state.R)
-    r1 = len(state.R) + 1
+    R = state.R
+    r1 = len(R) + 1
     nbr = state.adj[u] & C
     non_nbr = (C & ~state.adj[u]).bit_count()
     buckets = [0] * (s + 1)
@@ -119,5 +119,5 @@ def upper_bound_plex(state: PlexState, u: int, C: int, shared_budget: int | None
         b = w & -w
         buckets[len(As[b.bit_length() - 1])] += 1
         w ^= b
-    mid = _greedy_fill(buckets, shared_budget)
+    mid = _greedy_fill(buckets, s * len(R) - 2 * state.total_missing)
     return r1 + mid + min(s - len(As[u]), non_nbr) - BOUND_FAULT

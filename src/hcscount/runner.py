@@ -68,14 +68,24 @@ class RunConfigError(ValueError):
     """A run parameter (such as HCS_THREADS) is invalid."""
 
 
-def default_threads() -> int:
-    env = os.environ.get("HCS_THREADS")
-    if env:
+def resolve_threads(requested: int | None) -> int:
+    """The worker count: requested if given, else HCS_THREADS, else all cores.
+
+    A count below 1 from either source is a RunConfigError.
+    """
+    source = "the thread count"
+    if requested is None:
+        env = os.environ.get("HCS_THREADS")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise RunConfigError(f"HCS_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+        source = "HCS_THREADS"
+    if requested < 1:
+        raise RunConfigError(f"{source} must be at least 1, got {requested}")
+    return requested
 
 
 def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,

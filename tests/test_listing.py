@@ -88,15 +88,16 @@ class TestEnumerateByListing:
             for fam, s, q in (("dclique", 1, 4), ("plex", 1, 4), ("plex", 2, 5)):
                 spec = MotifSpec.single(fam, s, q)
                 oracle = brute_force_count(g, spec, collect_sets=True)
-                got = []
-                enumerate_by_listing(g, spec, got.append)
-                assert len(got) == len(set(got)), "duplicate emission"
-                assert sorted(got) == sorted(oracle.sets)
-                for S in got:
-                    root = min(S, key=lambda v: order.rank[v])
-                    # every other member sits within the root's 2-hop out-universe
-                    assert all(order.rank[v] > order.rank[root]
-                               for v in S if v != root)
+                for prune in (True, False):
+                    got = []
+                    enumerate_by_listing(g, spec, got.append, prune=prune)
+                    assert len(got) == len(set(got)), "duplicate emission"
+                    assert sorted(got) == sorted(oracle.sets), (seed, fam, s, q, prune)
+                    for S in got:
+                        root = min(S, key=lambda v: order.rank[v])
+                        # every other member sits within the root's 2-hop out-universe
+                        assert all(order.rank[v] > order.rank[root]
+                                   for v in S if v != root)
 
     def test_every_emitted_set_is_valid(self):
         g = random_gnp(14, 0.5, seed=31)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hcscount import (DcliqueState, MotifSpec, PlexState, SpecError, from_edges,
                       is_hcs, missing_edges, random_gnp, vertex_deficiency)
+from hcscount.motifs import CliqueState
 from conftest import reference_graph
 
 
@@ -136,6 +137,30 @@ class TestDcliqueState:
         assert state.filter_candidates(C) == adj[0] & C
 
 
+class TestCliqueState:
+    def test_filters_match_definitional_oracle(self):
+        spec = MotifSpec("clique", 0, 2, 12)
+        for seed in range(10):
+            g = random_gnp(12, 0.6, seed=200 + seed)
+            adj = g.adjacency_masks()
+            state = CliqueState(adj)
+            state.push(0)
+            C = adj[0]
+            while C:
+                u = (C & -C).bit_length() - 1
+                C &= ~(1 << u)
+                state.push(u)
+                kept = state.filter_candidates(C, u)
+                assert state.filter_pivots(C, u) == kept
+                for v in range(12):
+                    if (C >> v) & 1:
+                        assert bool((kept >> v) & 1) == is_hcs(spec, g, state.R + [v])
+                C = kept
+            assert state.leaf_weights(adj[0]) is None
+            while state.R:
+                state.pop()
+
+
 class TestPlexState:
     def test_push_into_empty_marks_nonneighbors(self):
         adj = local_masks(4, [(0, 1), (0, 2)])
@@ -159,9 +184,12 @@ class TestPlexState:
             state.push(u)
             pushed += 1
             assert state.recompute() == state.As
+            assert state.total_missing == sum(
+                1 for a, b in itertools.combinations(state.R, 2) if not (adj[a] >> b) & 1)
         for _ in range(pushed):
             state.pop()
         assert [list(x) for x in state.As] == before
+        assert state.total_missing == 0
 
     def test_filter_matches_definitional_oracle(self):
         # C threads through every push, matching the engines' usage; the

@@ -199,7 +199,10 @@ class TestCountByPivot:
     def test_debug_checks_pivot_set_clique_invariant(self):
         for seed in range(5):
             g = random_gnp(15, 0.55, seed=2500 + seed)
-            count_by_pivot(g, MotifSpec.single("dclique", 2, 5), debug_checks=True)
+            for spec in (MotifSpec.single("dclique", 2, 5), MotifSpec.single("plex", 1, 4),
+                         MotifSpec("plex", 2, 5, 8), MotifSpec("clique", 0, 3, 6)):
+                run = count_by_pivot(g, spec, debug_checks=True)
+                assert run.counts == count_by_pivot(g, spec).counts
 
     def test_parallel_equals_serial(self):
         g = random_gnp(26, 0.4, seed=12)

@@ -79,7 +79,8 @@ class TestReduceCandidates:
     def test_reduction_never_changes_counts(self):
         for seed in range(25):
             g = random_gnp(14 + seed % 8, (0.25, 0.45, 0.6)[seed % 3], seed=7000 + seed)
-            for fam, s in (("dclique", 1), ("plex", 1), ("dclique", 2), ("plex", 2)):
+            for fam, s in (("clique", 0), ("dclique", 1), ("plex", 1), ("dclique", 2),
+                           ("plex", 2)):
                 q = max(s + 2, 2 * s + 1) + seed % 2
                 spec = MotifSpec.single(fam, s, q)
                 a = count_by_listing(g, spec, prune=True).count

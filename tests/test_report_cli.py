@@ -59,6 +59,24 @@ class TestExitCodes:
             "invalid motif or run parameters: HCS_THREADS must be an integer, got 'abc'"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv_extra,env,message", [
+        (["--threads", "-3"], None, "the thread count must be at least 1, got -3"),
+        (["--threads", "0"], None, "the thread count must be at least 1, got 0"),
+        ([], "-5", "HCS_THREADS must be at least 1, got -5"),
+    ], ids=["flag-negative", "flag-zero", "env-negative"])
+    def test_thread_count_below_one_is_2(self, ref7_file, tmp_path, capsys, monkeypatch,
+                                         argv_extra, env, message):
+        if env is not None:
+            monkeypatch.setenv("HCS_THREADS", env)
+        out = tmp_path / "r.json"
+        rc = main(["count", "--input", ref7_file, "--motif", "plex", "--s", "1",
+                   "--q", "4", "--json", str(out)] + argv_extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"invalid motif or run parameters: {message}" in err.splitlines()
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_local_column_sum_mismatch_is_3(self, ref7_file, tmp_path, capsys,
                                             monkeypatch):
         import hcscount.cli as cli
