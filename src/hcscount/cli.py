@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 from .graph import Graph, ParseError, degeneracy_order, load_edge_list
@@ -41,7 +42,6 @@ def _add_spec_args(p: argparse.ArgumentParser, families=("dclique", "plex", "cli
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="edge-list file ('#' comments, two ids per line)")
-    p.add_argument("--method", choices=("pivot", "list"), default="pivot")
     p.add_argument("--no-prune", action="store_true",
                    help="disable candidate reduction and branch bounds")
     p.add_argument("--threads", type=int, default=None,
@@ -90,20 +90,40 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _local_mismatch(spec: MotifSpec, run, granularity: str) -> str | None:
+    """Self-check of a local run's column sum against its counts.
+
+    Every size-q result holds q vertices, and between C(q,2) - m(q) and
+    C(q,2) edges, where m(q) is the most edges it may miss: 0 for clique,
+    s for dclique and floor(q*s/2) for plex.
+    """
+    if granularity == "vertex":
+        total = sum(run.local.per_vertex)
+        expect = sum(q * c for q, c in run.counts.items())
+        if total != expect:
+            return f"vertex-count column sum {total} != sum_q q*count {expect}"
+        return None
+    total = sum(run.local.per_edge.values())
+    hi = sum(math.comb(q, 2) * c for q, c in run.counts.items())
+    # a clique's s is 0
+    lo = hi - sum((q * spec.s // 2 if spec.family == "plex" else spec.s) * c
+                  for q, c in run.counts.items())
+    if not lo <= total <= hi:
+        return f"edge-count column sum {total} outside [{lo}, {hi}]"
+    return None
+
+
 def cmd_local(args) -> int:
     spec = _parse_spec(args)
     threads = resolve_threads(args.threads)
     g, order = _load(args.input)
     run = count_by_pivot(g, spec, prune=not args.no_prune, threads=threads,
                          local=args.local, order=order)
+    mismatch = _local_mismatch(spec, run, args.local)
+    if mismatch:
+        print(f"verification mismatch: {mismatch}", file=sys.stderr)
+        return EXIT_MISMATCH
     orig = g.orig_ids
-    if args.local == "vertex":
-        total = sum(run.local.per_vertex)
-        expect = sum(q * c for q, c in run.counts.items())
-        if total != expect:
-            print(f"verification mismatch: vertex-count column sum {total} "
-                  f"!= sum_q q*count {expect}", file=sys.stderr)
-            return EXIT_MISMATCH
     with open(args.output, "w") as fh:
         if args.local == "vertex":
             for v, c in enumerate(run.local.per_vertex):
@@ -170,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count HCSs of one size or a size range")
     _add_run_args(p)
+    p.add_argument("--method", choices=("pivot", "list"), default="pivot")
     _add_spec_args(p)
     p.set_defaults(func=cmd_count)
 

@@ -36,9 +36,6 @@ def _list_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool
     """Size-q results rooted at rn's root; emit(members) receives each one
     in local ids when given."""
     q = spec.q_low
-    C0 = rn.cand_mask
-    if 1 + C0.bit_count() < q:
-        return 0
     state = rules.root_state(rn, spec.s)
     R = state.R
     push, pop = state.push, state.pop
@@ -70,7 +67,7 @@ def _list_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool
             pop()
         return total
 
-    return rec(C0)
+    return rec(rn.cand_mask)
 
 
 def _list_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool,
@@ -80,7 +77,8 @@ def _list_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool,
     total = 0
     for root in roots:
         rn = prepare_root(g, order, root, spec, prune, stats)
-        total += _list_root(rn, rules, spec, prune, stats)
+        if rn is not None:
+            total += _list_root(rn, rules, spec, prune, stats)
         check_counter(total)
     return total, stats
 
@@ -127,6 +125,8 @@ def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
     stats = RunStats()
     for root in order.order:
         rn = prepare_root(g, order, int(root), spec, prune, stats)
+        if rn is None:
+            continue
         verts = rn.verts.tolist() + [int(rn.root)]
         _list_root(rn, rules, spec, prune, stats,
                    lambda members: sink(tuple(sorted(verts[x] for x in members))))

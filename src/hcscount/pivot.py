@@ -18,13 +18,18 @@ member never could again. Hence:
   their sum stays within the remaining edge budget (0/1 knapsack).
 
 One traversal yields counts for all sizes in [q_low, q_high] and, on demand,
-per-vertex/per-edge local counts.
+per-vertex/per-edge local counts. These are not listed either. Every result
+found below a push contains all of R, so each member of R and its edges to
+the earlier members are credited once, at the matching pop, with the number
+of results found in between; a leaf credits only its completion members (the
+closure set, or the members of D) and their edges (see _RootLocal).
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -76,6 +81,35 @@ def knapsack_counts(weights: list[int], budget: int, k: int) -> int:
         return 0
     dp = knapsack_table(weights, budget, k)
     return sum(dp[k])
+
+
+def _weight_classes(D: int, weights: list[int], dp: list[list[int]], budget: int,
+                    k_lo: int, k_hi: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """A dclique leaf's D split by deficiency, for _RootLocal.credit_leaf.
+
+    dp is the leaf's knapsack table over weights (D's members, lowest bit
+    first). A member's one- and two-member counts depend only on its weight,
+    which lies in 0..s, so this takes O(s^2) knapsack_remove calls.
+    """
+    masks: dict[int, int] = {}
+    for d, w in zip(iter_bits(D), weights):
+        masks[w] = masks.get(w, 0) | (1 << d)
+    ws = list(masks)
+
+    def fitting(table: list[list[int]], rows: range, room: int) -> int:
+        return sum(sum(table[k][:room + 1]) for k in rows) if room >= 0 else 0
+
+    removed = [knapsack_remove(dp, w, budget) for w in ws]
+    classes = [(masks[w], fitting(removed[i], range(max(k_lo, 1) - 1, k_hi), budget - w))
+               for i, w in enumerate(ws)]
+    two = [[0] * len(ws) for _ in ws]
+    for i, w in enumerate(ws):
+        for j in range(i, len(ws)):
+            room = budget - w - ws[j]
+            if room >= 0 and (j > i or masks[w].bit_count() > 1):
+                two[i][j] = fitting(knapsack_remove(removed[i], ws[j], budget),
+                                    range(max(k_lo, 2) - 2, k_hi - 1), room)
+    return classes, two
 
 
 @dataclass
@@ -199,123 +233,157 @@ class PivotRun:
         return self.counts.get(q, 0)
 
 
+# A root's held masks are expanded after this many leaves (fewer on universes
+# of over 1024 vertices), which bounds their memory.
+HOLD_LEAVES = 4096
+
+
 class _RootLocal:
-    """Per-root local-count scratch in local ids, mapped to dense ids on merge."""
+    """Per-root local-count scratch in local ids, added in dense ids into the
+    worker's LocalCounts by flush.
 
-    __slots__ = ("verts", "adj", "want_v", "want_e", "pv", "pe")
+    Every result found below a push contains all of R, so a member of R is
+    credited once, at its pop, not at every leaf below it: `found` counts the
+    results found so far, and credit_member gives the results found since the
+    matching push to the popped member and to its edges to the earlier
+    members of R. A leaf credits only its completion members (the closure set
+    xs, or the members of D) and their edges.
 
-    def __init__(self, rn: RootNeighborhood, want_v: bool, want_e: bool):
+    Credits are held as bitmasks, since leaves repeat them: held_v maps a
+    mask to the credit of each of its members; held_e[u] maps a mask to the
+    credit of each edge from u into it; held_pairs maps (a, b) to the credit
+    of each edge from a member of a to one of b (to a later one when a == b).
+    flush expands each held mask once; it runs at the root's end, and after
+    every `hold` leaves (HOLD_LEAVES, scaled down on large universes) so that
+    the held masks stay few.
+    """
+
+    __slots__ = ("acc", "verts", "adj", "pv", "held_v", "held_e", "held_pairs", "found",
+                 "leaves", "hold")
+
+    def __init__(self, rn: RootNeighborhood, acc: LocalCounts):
+        self.acc = acc
         self.verts = rn.verts.tolist() + [int(rn.root)]
         self.adj = rn.adj
-        self.want_v = want_v
-        self.want_e = want_e
-        self.pv = [0] * len(self.verts) if want_v else None
-        self.pe: dict[tuple[int, int], int] | None = {} if want_e else None
+        n = len(self.verts)
+        self.pv = [0] * n if acc.per_vertex is not None else None
+        self.held_v: dict[int, int] = {}
+        self.held_e = defaultdict(dict) if acc.per_edge is not None else None
+        self.held_pairs: dict[tuple[int, int], int] = {}
+        self.found = 0
+        self.leaves = 0
+        self.hold = max(1, HOLD_LEAVES * 1024 // max(n, 1024))
 
-    def credit_set_members(self, R: list[int], amount: int) -> None:
-        """One concrete result R: every member and induced edge gains amount."""
-        if self.want_v:
-            pv = self.pv
+    def credit_member(self, R: list[int], n: int) -> None:
+        """n results were found since R's newest member was pushed."""
+        if not n:
+            return
+        u = R[-1]
+        if self.pv is not None:
+            self.pv[u] += n
+        if self.held_e is not None:
+            m = 0
             for r in R:
-                pv[r] += amount
-        if self.want_e:
-            self._edges_within(R, amount)
+                m |= 1 << r
+            m &= self.adj[u]
+            if m:
+                row = self.held_e[u]
+                row[m] = row.get(m, 0) + n
 
-    def _edges_within(self, members: list[int], amount: int) -> None:
-        adj = self.adj
-        pe = self.pe
-        for i, u in enumerate(members):
-            au = adj[u]
-            for v in members[i + 1:]:
-                if (au >> v) & 1:
-                    key = (u, v) if u < v else (v, u)
-                    pe[key] = pe.get(key, 0) + amount
+    def credit_leaf(self, R: list[int], n: int, classes: list[tuple[int, int]],
+                    two: list[list[int]]) -> None:
+        """A leaf: n results complete R, each with a set of completion members.
 
-    def credit_combinatorial(self, R: list[int], D: list[int], per_d_total,
-                             per_d_one, per_d_two) -> None:
-        """Credit all D-completions at once.
-
-        per_d_total: results counted at this leaf (all k in range summed);
-        per_d_one(d): results containing member d; per_d_two(d, d'): both.
+        The members are split into classes (mask, c1): each member lies in c1
+        of the results, and a member of class i and another of class j lie
+        together in two[i][j] of them. At a combinatorial leaf the members
+        are D, a clique, so every such pair is an edge; at a closure leaf
+        they are xs, one per result.
         """
-        if per_d_total == 0:
-            return
-        if self.want_v:
-            pv = self.pv
-            for r in R:
-                pv[r] += per_d_total
-            for d in D:
-                pv[d] += per_d_one(d)
-        if self.want_e:
+        self.found += n
+        if self.pv is not None:
+            hv = self.held_v
+            for mask, c1 in classes:
+                if mask and c1:
+                    hv[mask] = hv.get(mask, 0) + c1
+        he = self.held_e
+        if he is not None:
             adj = self.adj
-            pe = self.pe
-            for i, u in enumerate(R):
-                au = adj[u]
-                for v in R[i + 1:]:
-                    if (au >> v) & 1:
-                        key = (u, v) if u < v else (v, u)
-                        pe[key] = pe.get(key, 0) + per_d_total
-            for d in D:
-                c1 = per_d_one(d)
-                if c1 == 0:
-                    continue
-                ad = adj[d]
-                for r in R:
-                    if (ad >> r) & 1:
-                        key = (d, r) if d < r else (r, d)
-                        pe[key] = pe.get(key, 0) + c1
-            for i, d in enumerate(D):
-                for d2 in D[i + 1:]:
-                    c2 = per_d_two(d, d2)
+            for r in R:
+                row = he[r]
+                ar = adj[r]
+                for mask, c1 in classes:
+                    m = ar & mask
+                    if m and c1:
+                        row[m] = row.get(m, 0) + c1
+            hp = self.held_pairs
+            for i, (a, _) in enumerate(classes):
+                two_i = two[i]
+                for j in range(i, len(classes)):
+                    c2 = two_i[j]
                     if c2:
-                        key = (d, d2) if d < d2 else (d2, d)
-                        pe[key] = pe.get(key, 0) + c2
+                        key = (a, classes[j][0])
+                        hp[key] = hp.get(key, 0) + c2
+        self.leaves += 1
+        if self.leaves == self.hold:
+            self.flush()
 
-    def flush_into(self, acc: LocalCounts) -> None:
-        """Map local ids to dense ids and add into the run-level accumulator."""
+    def flush(self) -> None:
+        """Expand the held masks and add every credit, in dense ids, into acc."""
+        self.leaves = 0
         verts = self.verts
-        if self.want_v:
-            pv = acc.per_vertex
-            for i, c in enumerate(self.pv):
+        pv = self.pv
+        if pv is not None:
+            for mask, c in self.held_v.items():
+                while mask:
+                    b = mask & -mask
+                    pv[b.bit_length() - 1] += c
+                    mask ^= b
+            self.held_v.clear()
+            out = self.acc.per_vertex
+            for i, c in enumerate(pv):
                 if c:
-                    pv[verts[i]] += c
-        if self.want_e:
-            pe = acc.per_edge
-            for (a, b), c in self.pe.items():
-                u, v = verts[a], verts[b]
-                key = (u, v) if u < v else (v, u)
-                pe[key] = pe.get(key, 0) + c
-
-    def credit_closures(self, R: list[int], xs: list[int]) -> None:
-        """Closure leaf: each x in xs completes R into one result."""
-        if not xs:
+                    out[verts[i]] += c
+                    pv[i] = 0
+        he = self.held_e
+        if he is None:
             return
-        cnt = len(xs)
-        if self.want_v:
-            pv = self.pv
-            for r in R:
-                pv[r] += cnt
-            for x in xs:
-                pv[x] += 1
-        if self.want_e:
-            self._edges_within(R, cnt)
-            adj = self.adj
-            pe = self.pe
-            for x in xs:
-                ax = adj[x]
-                for r in R:
-                    if (ax >> r) & 1:
-                        key = (x, r) if x < r else (r, x)
-                        pe[key] = pe.get(key, 0) + 1
+        for (a, b), c in self.held_pairs.items():
+            w = a
+            while w:
+                bit = w & -w
+                w ^= bit
+                m = b & -(bit << 1) if a == b else b
+                if m:
+                    row = he[bit.bit_length() - 1]
+                    row[m] = row.get(m, 0) + c
+        self.held_pairs.clear()
+        out = self.acc.per_edge
+        tmp = [0] * len(verts)
+        for a, row in he.items():
+            seen = 0
+            for mask, c in row.items():
+                seen |= mask
+                while mask:
+                    b = mask & -mask
+                    tmp[b.bit_length() - 1] += c
+                    mask ^= b
+            u = verts[a]
+            while seen:
+                b = seen & -seen
+                x = b.bit_length() - 1
+                seen ^= b
+                v = verts[x]
+                key = (u, v) if u < v else (v, u)
+                out[key] = out.get(key, 0) + tmp[x]
+                tmp[x] = 0
+        he.clear()
 
 
 def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool,
                 counts: dict[int, int], stats: RunStats, scratch: _RootLocal | None,
                 probe=None, debug_checks: bool = False) -> None:
     q_lo, q_hi = spec.q_low, spec.q_high
-    if 1 + rn.cand_mask.bit_count() < q_lo:
-        stats.nodes += 1  # the root node, cut by the size check
-        return
     adj = rn.adj
     close_lo = q_hi - 1 >= q_lo
     state = rules.root_state(rn, spec.s)
@@ -344,30 +412,13 @@ def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: boo
         stats.comb_credits += tot
         if scratch is None or not tot:
             return
-        members = list(iter_bits(D))
         if weighted is None:
             one = sum(binom(nD - 1, k - 1) for k in range(max(k_lo, 1), k_hi + 1))
             two = sum(binom(nD - 2, k - 2) for k in range(max(k_lo, 2), k_hi + 1))
-            scratch.credit_combinatorial(R, members, tot, lambda d: one, lambda a, b: two)
-            return
-        weight = dict(zip(members, weights))
-        removed = {d: knapsack_remove(dp, weight[d], budget) for d in members}
-
-        def one_w(d: int) -> int:
-            rb = budget - weight[d]
-            if rb < 0:
-                return 0
-            dpw = removed[d]
-            return sum(sum(dpw[k - 1][:rb + 1]) for k in range(max(k_lo, 1), k_hi + 1))
-
-        def two_w(d: int, d2: int) -> int:
-            rb = budget - weight[d] - weight[d2]
-            if rb < 0:
-                return 0
-            dpw = knapsack_remove(removed[d], weight[d2], budget)
-            return sum(sum(dpw[k - 2][:rb + 1]) for k in range(max(k_lo, 2), k_hi + 1))
-
-        scratch.credit_combinatorial(R, members, tot, one_w, two_w)
+            scratch.credit_leaf(R, tot, [(D, one)], [[two]])
+        else:
+            scratch.credit_leaf(R, tot, *_weight_classes(D, weights, dp, budget,
+                                                        k_lo, k_hi))
 
     def rec(C: int, D: int) -> None:
         stats.nodes += 1
@@ -386,9 +437,7 @@ def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: boo
                 counts[q_hi - 1] += 1
                 stats.closure_credits += 1
             if scratch is not None:
-                scratch.credit_closures(R, list(iter_bits(xs)))
-                if close_lo:
-                    scratch.credit_set_members(R, 1)
+                scratch.credit_leaf(R, n_new + close_lo, [(xs, 1)], [[0]])
             return
         if C == 0:
             comb_leaf(D)
@@ -411,10 +460,20 @@ def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: boo
                 stats.bound_pruned += 1
                 continue
             push(v)
-            rec(filter_candidates(Crem, v), filter_pivots(D, v))
+            if scratch is None:
+                rec(filter_candidates(Crem, v), filter_pivots(D, v))
+            else:
+                found = scratch.found
+                rec(filter_candidates(Crem, v), filter_pivots(D, v))
+                scratch.credit_member(R, scratch.found - found)
             pop()
 
     rec(rn.cand_mask, 0)
+    if scratch is not None:
+        scratch.credit_member(R, scratch.found)  # the root
+    # rec holds itself through its closure: dropping the name frees this
+    # root's state now instead of at the next cyclic garbage collection
+    del rec
 
 
 def _pivot_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool,
@@ -429,10 +488,13 @@ def _pivot_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool
     rules = FAMILY_RULES[spec.family]
     for root in roots:
         rn = prepare_root(g, order, root, spec, prune, stats)
-        scratch = _RootLocal(rn, want_v, want_e) if acc is not None else None
+        if rn is None:
+            stats.nodes += 1  # the root node, cut by the size check
+            continue
+        scratch = _RootLocal(rn, acc) if acc is not None else None
         _pivot_root(rn, rules, spec, prune, counts, stats, scratch, probe, debug_checks)
         if scratch is not None:
-            scratch.flush_into(acc)
+            scratch.flush()
         check_counter(max(counts.values(), default=0))
     return counts, stats, acc
 

@@ -89,22 +89,25 @@ def resolve_threads(requested: int | None) -> int:
 
 
 def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,
-                 prune: bool, stats: RunStats) -> RootNeighborhood:
+                 prune: bool, stats: RunStats) -> RootNeighborhood | None:
     """Collect, optionally reduce, and assemble one root's search universe.
 
     Two-hop candidates only exist for s >= 1: with s = 0 a root/candidate
     non-edge already exhausts every budget. Range specs reduce with q_low,
-    the weakest target in the range.
+    the weakest target in the range. A root whose candidates cannot reach
+    q_low (1 + |candidates| < q_low) gets no universe: it returns None, and
+    only its candidate counts go into stats.
     """
     two_hop = spec.s >= 1
     one, two = collect_candidates(g, order, root, two_hop)
     pre = len(one) + len(two)
     if prune:
         one, two = reduce_candidates(g, one, two, spec.family, spec.q_low, spec.s)
-    rn = build_root_neighborhood(g, root, one, two, cand_pre=pre)
     stats.cand_pre += pre
-    stats.cand_now += rn.cand_now
-    return rn
+    stats.cand_now += len(one) + len(two)
+    if 1 + len(one) + len(two) < spec.q_low:
+        return None
+    return build_root_neighborhood(g, root, one, two, cand_pre=pre)
 
 
 class RunConfig(NamedTuple):

@@ -283,6 +283,61 @@ class TestLocalCounts:
         assert a.local.per_edge == b.local.per_edge
 
 
+    @pytest.mark.parametrize("fam,s", [("clique", 0), ("dclique", 1), ("plex", 1)])
+    def test_range_locals_match_oracle(self, fam, s):
+        # q_high - 1 >= q_low: closure leaves also credit R itself
+        for seed in range(3):
+            g = random_gnp(13, 0.55, seed=7100 + seed)
+            spec = MotifSpec(fam, s, 3, 6)
+            oracle = brute_force_count(g, spec)
+            run = count_by_pivot(g, spec, local="both")
+            assert run.counts == oracle.totals
+            assert run.local.per_vertex == oracle.per_vertex
+            assert run.local.per_edge == oracle.per_edge
+
+    def test_dclique_mixed_weight_leaves_match_oracle(self, monkeypatch):
+        import hcscount.pivot as pivot
+        seen = set()
+        split = pivot._weight_classes
+
+        def recording(*args):
+            classes, two = split(*args)
+            seen.add(len(classes))
+            return classes, two
+
+        monkeypatch.setattr(pivot, "_weight_classes", recording)
+        for seed in range(3):
+            g = random_gnp(14, 0.7, seed=7200 + seed)
+            for spec in (MotifSpec.single("dclique", 2, 7), MotifSpec("dclique", 2, 5, 8)):
+                oracle = brute_force_count(g, spec)
+                run = count_by_pivot(g, spec, local="both")
+                assert run.local.per_vertex == oracle.per_vertex, (seed, spec)
+                assert run.local.per_edge == oracle.per_edge, (seed, spec)
+        # some leaf's D held deficiencies 0, 1 and 2 at once
+        assert 3 in seen
+
+    def test_prune_does_not_change_locals(self):
+        g = random_gnp(24, 0.4, seed=7300)
+        for spec in (MotifSpec("clique", 0, 3, 6), MotifSpec("dclique", 1, 4, 7),
+                     MotifSpec("plex", 1, 3, 7), MotifSpec.single("dclique", 2, 6)):
+            a = count_by_pivot(g, spec, local="both", prune=True)
+            b = count_by_pivot(g, spec, local="both", prune=False)
+            assert a.counts == b.counts, spec
+            assert a.local.per_vertex == b.local.per_vertex, spec
+            assert a.local.per_edge == b.local.per_edge, spec
+
+    def test_held_credits_flushed_mid_root(self, monkeypatch):
+        import hcscount.pivot as pivot
+        g = random_gnp(22, 0.5, seed=7400)
+        specs = (MotifSpec("plex", 1, 3, 7), MotifSpec("dclique", 2, 5, 8))
+        want = [count_by_pivot(g, spec, local="both").local for spec in specs]
+        monkeypatch.setattr(pivot, "HOLD_LEAVES", 1)
+        for spec, loc in zip(specs, want):
+            got = count_by_pivot(g, spec, local="both").local
+            assert got.per_vertex == loc.per_vertex
+            assert got.per_edge == loc.per_edge
+
+
 class TestBinomialTable:
     def test_pascal_recurrence_and_edges(self):
         for n in range(25):

@@ -86,9 +86,15 @@ def test_prepare_root_matches_naive_reference(gi):
     for spec in specs():
         for prune in (True, False):
             for root in order.order.tolist():
-                rn = prepare_root(g, order, root, spec, prune, RunStats())
-                got = ([int(v) for v in rn.verts], rn.adj, rn.cand_pre, rn.cand_now)
+                stats = RunStats()
+                rn = prepare_root(g, order, root, spec, prune, stats)
                 want = naive_prepare(edges, rank, root, spec, prune)
+                assert (stats.cand_pre, stats.cand_now) == want[2:], (gi, spec, prune, root)
+                if 1 + want[3] < spec.q_low:
+                    # no result can reach q_low: no universe is built
+                    assert rn is None, (gi, spec, prune, root)
+                    continue
+                got = ([int(v) for v in rn.verts], rn.adj, rn.cand_pre, rn.cand_now)
                 assert got == want, (gi, spec, prune, root)
 
 

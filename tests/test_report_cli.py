@@ -96,6 +96,48 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("skew,message", [
+        ("inflate", "edge-count column sum 200 outside [100, 150]"),
+        ("clear", "edge-count column sum 0 outside [100, 150]"),
+    ])
+    def test_local_edge_sum_out_of_bounds_is_3(self, ref7_file, tmp_path, capsys,
+                                               monkeypatch, skew, message):
+        import hcscount.cli as cli
+
+        def skewed(*args, **kwargs):
+            run = count_by_pivot(*args, **kwargs)
+            per_edge = run.local.per_edge
+            if skew == "clear":
+                per_edge.clear()
+            else:
+                # 25 plexes of 4 vertices: between 25*(6-2) and 25*6 edges
+                first = next(iter(per_edge))
+                per_edge[first] += 200 - sum(per_edge.values())
+            return run
+
+        monkeypatch.setattr(cli, "count_by_pivot", skewed)
+        out = tmp_path / "edges.tsv"
+        rc = main(["local", "--input", ref7_file, "--motif", "plex", "--s", "1",
+                   "--q", "4", "--local", "edge", "--output", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"verification mismatch: {message}" in err.splitlines()
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra", [
+        ("local", ["--local", "vertex", "--output"]),
+        ("profile", ["--json"]),
+    ])
+    def test_method_outside_count_is_2(self, ref7_file, tmp_path, capsys, command, extra):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", ref7_file, "--motif", "plex", "--s", "1",
+                  "--q-range", "3:5", "--method", "list"] + extra + [str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_pass_is_0(self):
         assert main(["verify", "--seeds", "1", "--q-max", "4"]) == 0
 
