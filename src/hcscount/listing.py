@@ -60,14 +60,18 @@ def _list_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool
             if bound is not None and bound(state, u, C) < q:
                 stats.bound_pruned += 1
                 continue
-            push(u)
+            push(u, C)
             C2 = filter_candidates(C, u)
             if len(R) + C2.bit_count() >= q:
                 total += rec(C2)
             pop()
         return total
 
-    return rec(rn.cand_mask)
+    total = rec(rn.cand_mask)
+    # rec holds itself through its closure: dropping the name frees this
+    # root's state now instead of at the next cyclic garbage collection
+    del rec
+    return total
 
 
 def _list_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool,

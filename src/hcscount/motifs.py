@@ -4,7 +4,7 @@ Three families are supported: clique, s-defective clique (dclique: at most s
 missing edges in total) and s-plex (every member misses at most s others).
 Both search engines drive one state object per root through one interface:
 
-* ``R``: the growing set; ``push(u)`` / ``pop()`` grow and shrink it;
+* ``R``: the growing set; ``push(u, keep)`` / ``pop()`` grow and shrink it;
 * ``filter_candidates(C, u)``: the candidates that still extend R after u's
   push; ``filter_pivots(D, u)``: the same for the pivot engine's set D;
 * ``leaf_weights(D)``: knapsack weights of D's members and the budget they
@@ -17,9 +17,17 @@ Membership checks stay O(1) through per-family bookkeeping:
 * plex: list array As where As[v] holds exactly the members of R that are
   non-adjacent to v.
 
-dclique and plex also keep the running total of missing edges of R. All are
-maintained over a fixed local universe (bitmask adjacency) with exact
-push/pop inverses.
+dclique and plex also keep the running total of missing edges of R and R's
+bitmask ``rmask``. All are maintained over a fixed local universe (bitmask
+adjacency) with exact push/pop inverses.
+
+Updates cover only the live set. ``keep`` names the vertices that a node
+below the push may still read besides R (the engines pass what is left of C
+and D); a push updates A[v] or As[v] only for v in ``keep | rmask`` and saves
+that mask, which its pop replays. Entries of every other vertex go stale, and
+no node reads them again: a vertex read at a node lies in its R, C or D, and
+was in ``keep | rmask`` at every push above it. The default ``keep = -1``
+updates the whole universe.
 """
 
 from __future__ import annotations
@@ -124,15 +132,18 @@ def iter_bits(x: int):
 class CliqueState:
     """R over a bitmask universe; every candidate is adjacent to all of R."""
 
-    __slots__ = ("adj", "R", "push", "pop")
+    __slots__ = ("adj", "R", "pop")
 
     def __init__(self, adj: list[int], s: int = 0):
         """s is always 0 for cliques; it is taken so that every state is
         built the same way."""
         self.adj = adj
         self.R: list[int] = []
-        self.push = self.R.append
         self.pop = self.R.pop
+
+    def push(self, u: int, keep: int = -1) -> None:
+        """keep is taken for the common interface; a clique keeps no counts."""
+        self.R.append(u)
 
     def filter_candidates(self, C: int, u: int) -> int:
         """Members of C adjacent to u (u just pushed)."""
@@ -143,11 +154,14 @@ class CliqueState:
     def leaf_weights(self, D: int) -> None:
         return None
 
+    def check_live(self, live: int) -> None:
+        """Nothing to check: a clique keeps no counts."""
+
 
 class DcliqueState:
     """R, m̄(R), and A[v] = m̄(v, R) over a bitmask universe."""
 
-    __slots__ = ("adj", "nonadj", "s", "R", "total_missing", "A")
+    __slots__ = ("adj", "nonadj", "s", "R", "rmask", "walked", "total_missing", "A")
 
     def __init__(self, adj: list[int], s: int):
         self.adj = adj
@@ -155,24 +169,29 @@ class DcliqueState:
         self.nonadj = [full & ~a & ~(1 << i) for i, a in enumerate(adj)]
         self.s = s
         self.R: list[int] = []
+        self.rmask = 0
+        self.walked: list[int] = []  # the mask each push updated, for its pop
         self.total_missing = 0
         self.A = [0] * len(adj)
 
-    def push(self, u: int) -> None:
+    def push(self, u: int, keep: int = -1) -> None:
         A = self.A
         assert self.total_missing + A[u] <= self.s, "push would exceed the missing-edge budget"
         self.total_missing += A[u]
-        w = self.nonadj[u]
+        w = self.nonadj[u] & (keep | self.rmask)
+        self.walked.append(w)
         while w:
             b = w & -w
             A[b.bit_length() - 1] += 1
             w ^= b
         self.R.append(u)
+        self.rmask |= 1 << u
 
     def pop(self) -> int:
         u = self.R.pop()
+        self.rmask ^= 1 << u
         A = self.A
-        w = self.nonadj[u]
+        w = self.walked.pop()
         while w:
             b = w & -w
             A[b.bit_length() - 1] -= 1
@@ -217,11 +236,20 @@ class DcliqueState:
                 total += A[v]
         return total // 2, A
 
+    def check_live(self, live: int) -> None:
+        """Assert the bookkeeping equals recompute() on R and live, the
+        vertices a node may read; the other entries may be stale."""
+        total, A = self.recompute()
+        assert self.rmask == sum(1 << r for r in self.R), "rmask is not R"
+        assert self.total_missing == total, "stale missing-edge total"
+        assert all(self.A[v] == A[v] for v in iter_bits(live | self.rmask)), \
+            "stale A on a live vertex"
+
 
 class PlexState:
     """R, m̄(R), and As[v] = members of R non-adjacent to v, over a bitmask universe."""
 
-    __slots__ = ("adj", "nonadj", "s", "R", "total_missing", "As")
+    __slots__ = ("adj", "nonadj", "s", "R", "rmask", "walked", "total_missing", "As")
 
     def __init__(self, adj: list[int], s: int):
         self.adj = adj
@@ -229,26 +257,33 @@ class PlexState:
         self.nonadj = [full & ~a & ~(1 << i) for i, a in enumerate(adj)]
         self.s = s
         self.R: list[int] = []
+        self.rmask = 0
+        self.walked: list[int] = []  # the mask each push updated, for its pop
         self.total_missing = 0
         self.As: list[list[int]] = [[] for _ in adj]
 
-    def push(self, u: int) -> None:
+    def push(self, u: int, keep: int = -1) -> None:
         As = self.As
-        assert len(As[u]) <= self.s, "push would exceed the per-vertex budget"
-        assert all(len(As[v]) < self.s for v in As[u]), \
-            "push would saturate a member past its budget"
-        self.total_missing += len(As[u])
-        w = self.nonadj[u]
+        Au = As[u]
+        s = self.s
+        assert len(Au) <= s, "push would exceed the per-vertex budget"
+        for v in Au:  # a loop, not all(...): no generator on every push
+            assert len(As[v]) < s, "push would saturate a member past its budget"
+        self.total_missing += len(Au)
+        w = self.nonadj[u] & (keep | self.rmask)
+        self.walked.append(w)
         while w:
             b = w & -w
             As[b.bit_length() - 1].append(u)
             w ^= b
         self.R.append(u)
+        self.rmask |= 1 << u
 
     def pop(self) -> int:
         u = self.R.pop()
+        self.rmask ^= 1 << u
         As = self.As
-        w = self.nonadj[u]
+        w = self.walked.pop()
         while w:
             b = w & -w
             As[b.bit_length() - 1].pop()
@@ -297,3 +332,13 @@ class PlexState:
                 if r != v and not (adj[v] >> r) & 1:
                     out[v].append(r)
         return out
+
+    def check_live(self, live: int) -> None:
+        """Assert the bookkeeping equals recompute() on R and live, the
+        vertices a node may read; the other entries may be stale."""
+        As = self.recompute()
+        assert self.rmask == sum(1 << r for r in self.R), "rmask is not R"
+        assert self.total_missing == sum(len(As[r]) for r in self.R) // 2, \
+            "stale missing-edge total"
+        assert all(self.As[v] == As[v] for v in iter_bits(live | self.rmask)), \
+            "stale As on a live vertex"

@@ -428,6 +428,7 @@ def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: boo
         if debug_checks:
             assert all(not (D & ~adj[d] & ~(1 << d)) for d in iter_bits(D)), \
                 "accumulated pivot set must induce a clique"
+            state.check_live(C | D)
         if nR == q_hi - 1:
             xs = C | D
             n_new = xs.bit_count()
@@ -459,7 +460,7 @@ def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: boo
             if bound is not None and bound(state, v, Crem) + nD < q_lo:
                 stats.bound_pruned += 1
                 continue
-            push(v)
+            push(v, Crem | D)
             if scratch is None:
                 rec(filter_candidates(Crem, v), filter_pivots(D, v))
             else:

@@ -223,6 +223,35 @@ class TestPlexState:
         assert kept == adj[0] & C
 
 
+@pytest.mark.parametrize("cls", [DcliqueState, PlexState])
+@given(graphs, st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_live_updates_match_recompute_and_pops_restore(cls, g, rnd):
+    # keep masks nest as in the engines: a push draws u from the live set
+    # and passes a subset of what is left; a pop returns to the parent's set
+    n, edges = g
+    adj = local_masks(n, edges)
+    state = cls(adj, s=n * n)
+    table = state.A if cls is DcliqueState else state.As
+    before = repr(table)
+    keeps = [(1 << n) - 1]
+    for _ in range(14):
+        live = keeps[-1]
+        if state.R and (not live or rnd.random() < 0.3):
+            state.pop()
+            keeps.pop()
+        elif live:
+            u = rnd.choice([v for v in range(n) if (live >> v) & 1])
+            keep = live & ~(1 << u) & rnd.getrandbits(n)
+            state.push(u, keep)
+            keeps.append(keep)
+        state.check_live(keeps[-1])  # recompute() on R | keep
+    while state.R:
+        state.pop()
+    assert repr(table) == before
+    assert state.total_missing == 0 and state.rmask == 0 and state.walked == []
+
+
 class TestHereditariness:
     def test_all_subsets_of_results_are_results(self):
         g = reference_graph()

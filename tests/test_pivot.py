@@ -28,6 +28,36 @@ def root_state(g, family, s, root=None, prune=False):
     return rn, state
 
 
+# (seed, family, s, q, prune) -> ((nodes, branch_iters, bound_pruned) of the
+# pivot engine, the same of the listing engine) on random_gnp graphs
+SEARCH_STATS = {
+    (11, 'dclique', 1, 5, True): ((1206, 604, 78), (974, 2393, 1428)),
+    (11, 'dclique', 1, 5, False): ((1350, 648, 0), (992, 2490, 0)),
+    (11, 'dclique', 2, 6, True): ((3110, 1585, 211), (2056, 6916, 4719)),
+    (11, 'dclique', 2, 6, False): ((3635, 1771, 0), (2272, 7873, 0)),
+    (11, 'plex', 1, 5, True): ((2474, 1514, 99), (1744, 3081, 1048)),
+    (11, 'plex', 1, 5, False): ((2606, 1537, 0), (1764, 3150, 0)),
+    (11, 'plex', 2, 6, True): ((17605, 11929, 1325), (10849, 19643, 6299)),
+    (11, 'plex', 2, 6, False): ((19161, 12093, 0), (10981, 20183, 0)),
+    (12, 'dclique', 1, 5, True): ((724, 395, 117), (482, 1376, 896)),
+    (12, 'dclique', 1, 5, False): ((1382, 763, 0), (564, 1974, 0)),
+    (12, 'dclique', 2, 6, True): ((1666, 981, 299), (740, 3104, 2268)),
+    (12, 'dclique', 2, 6, False): ((4308, 2413, 0), (1203, 6214, 0)),
+    (12, 'plex', 1, 5, True): ((1571, 1032, 166), (926, 2026, 921)),
+    (12, 'plex', 1, 5, False): ((2184, 1370, 0), (1019, 2491, 0)),
+    (12, 'plex', 2, 6, True): ((15621, 12595, 3412), (6886, 18702, 8046)),
+    (12, 'plex', 2, 6, False): ((21235, 14209, 0), (7345, 21088, 0)),
+    (13, 'dclique', 1, 5, True): ((963, 400, 30), (1187, 2139, 933)),
+    (13, 'dclique', 1, 5, False): ((993, 400, 0), (1200, 2171, 0)),
+    (13, 'dclique', 2, 6, True): ((2370, 1013, 68), (2630, 6087, 3294)),
+    (13, 'dclique', 2, 6, False): ((2438, 1013, 0), (2747, 6421, 0)),
+    (13, 'plex', 1, 5, True): ((1692, 913, 2), (1587, 2478, 803)),
+    (13, 'plex', 1, 5, False): ((1699, 916, 0), (1591, 2488, 0)),
+    (13, 'plex', 2, 6, True): ((9604, 5522, 114), (7736, 12412, 4044)),
+    (13, 'plex', 2, 6, False): ((9718, 5522, 0), (7741, 12426, 0)),
+}
+
+
 class TestSelectPivotDclique:
     def test_reference_root_picks_u3(self):
         g = reference_graph()
@@ -203,6 +233,20 @@ class TestCountByPivot:
                          MotifSpec("plex", 2, 5, 8), MotifSpec("clique", 0, 3, 6)):
                 run = count_by_pivot(g, spec, debug_checks=True)
                 assert run.counts == count_by_pivot(g, spec).counts
+
+    @pytest.mark.parametrize("seed,n,p", [(11, 24, 0.5), (12, 30, 0.35), (13, 20, 0.65)])
+    def test_search_tree_stats_pinned(self, seed, n, p):
+        # (nodes, branch_iters, bound_pruned) of pivot and of listing; the
+        # state's bookkeeping must not change which branches are taken
+        g = random_gnp(n, p, seed=seed)
+        for (sd, fam, s, q, prune), (piv, lst) in SEARCH_STATS.items():
+            if sd != seed:
+                continue
+            spec = MotifSpec.single(fam, s, q)
+            a = count_by_pivot(g, spec, prune=prune).stats
+            b = count_by_listing(g, spec, prune=prune).stats
+            assert (a.nodes, a.branch_iters, a.bound_pruned) == piv, (fam, s, q, prune)
+            assert (b.nodes, b.branch_iters, b.bound_pruned) == lst, (fam, s, q, prune)
 
     def test_parallel_equals_serial(self):
         g = random_gnp(26, 0.4, seed=12)
