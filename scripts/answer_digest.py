@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Print one sha256 over every answer and search statistic of a fixed matrix.
+
+Usage: PYTHONPATH=src python3 scripts/answer_digest.py
+
+Both engines run over fixed graphs (the benchmark generator's social, dense
+and gate inputs, plus four seeded G(n, p) graphs) and a fixed list of specs,
+with pruning on and off; the pivot engine runs with local="both". Each run
+adds its counts, sorted per-vertex and per-edge locals and every integer
+RunStats field (so not wall_time) to the digest. Two checkouts that give the
+same answers and search the same trees on this matrix print the same line:
+run the script in both and compare. It takes one to two minutes on one core.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import gen  # noqa: E402
+
+from hcscount import (MotifSpec, count_by_listing, count_by_pivot,  # noqa: E402
+                      load_edge_list, random_gnp)
+
+SEED = 1
+GNP = [(20, 0.5, 7001), (24, 0.4, 7002), (30, 0.3, 7003), (18, 0.7, 7004)]
+# (family, s, q_low, q_high); the listing engine takes the single sizes only
+SPECS = [
+    ("clique", 0, 4, 4), ("clique", 0, 3, 7),
+    ("dclique", 1, 3, 3), ("dclique", 1, 5, 5), ("dclique", 2, 4, 4),
+    ("dclique", 2, 6, 6), ("dclique", 1, 3, 7),
+    ("plex", 1, 3, 3), ("plex", 1, 5, 5), ("plex", 2, 5, 5), ("plex", 2, 6, 6),
+    ("plex", 1, 3, 7), ("plex", 2, 5, 7),
+]
+
+
+def graphs(tmp: Path):
+    paths = {"social": gen.social(SEED, tmp, 500)[0],
+             "dense": gen.dense(SEED, tmp, n=120, blocks=4, size_lo=20, size_hi=23)[0]}
+    for i, path in enumerate(gen.gate(SEED, tmp, [(28, 0.2), (21, 0.4), (17, 0.6),
+                                                  (26, 0.6)])):
+        paths[f"gate{i}"] = path
+    for name, path in paths.items():
+        yield name, load_edge_list(path)
+    for n, p, seed in GNP:
+        yield f"gnp{n}_{p}_{seed}", random_gnp(n, p, seed=seed)
+
+
+def stats_key(stats) -> tuple:
+    return tuple((f.name, getattr(stats, f.name)) for f in dataclasses.fields(stats)
+                 if isinstance(getattr(stats, f.name), int))
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    runs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, g in graphs(Path(tmp)):
+            for fam, s, lo, hi in SPECS:
+                spec = MotifSpec(fam, s, lo, hi)
+                for prune in (True, False):
+                    piv = count_by_pivot(g, spec, prune=prune, local="both")
+                    rows = [("pivot", name, spec, prune, sorted(piv.counts.items()),
+                             piv.local.per_vertex, sorted(piv.local.per_edge.items()),
+                             stats_key(piv.stats))]
+                    if lo == hi:
+                        lst = count_by_listing(g, spec, prune=prune)
+                        rows.append(("listing", name, spec, prune, lst.count,
+                                     stats_key(lst.stats)))
+                    for row in rows:
+                        digest.update(repr(row).encode())
+                        runs += 1
+    print(f"{runs} runs sha256={digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -171,8 +171,6 @@ def cmd_verify(args) -> int:
                               q_max=args.q_max, fault=args.inject_fault,
                               check_local=not args.no_local)
     print(f"verified {report.specs_checked} spec runs over {report.graphs_checked} graphs")
-    for note in report.skipped:
-        print(f"  skipped: {note}")
     if report.mismatches:
         for mm in report.mismatches:
             print(mm.describe())

@@ -66,9 +66,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
@@ -261,10 +258,6 @@ class RootNeighborhood:
     @property
     def root_local(self) -> int:
         return len(self.verts)
-
-    @property
-    def root_bit(self) -> int:
-        return 1 << len(self.verts)
 
     @property
     def cand_mask(self) -> int:

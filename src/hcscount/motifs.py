@@ -13,19 +13,20 @@ Both search engines drive one state object per root through one interface:
 Membership checks stay O(1) through per-family bookkeeping:
 
 * clique: none; candidates are cut to the common neighborhood;
-* dclique: integer array A where A[v] counts v's non-neighbors inside R;
-* plex: list array As where As[v] holds exactly the members of R that are
-  non-adjacent to v.
+* dclique and plex: one count array A, where A[v] is v's number of
+  non-neighbors inside R, with the total of missing edges of R and R's
+  bitmask ``rmask``. The two families differ only in the rule they apply to
+  the counts: a dclique bounds the total m̄(R) (half the sum of A over R)
+  by s, a plex bounds each member's A[v] by s.
 
-dclique and plex also keep the running total of missing edges of R and R's
-bitmask ``rmask``. All are maintained over a fixed local universe (bitmask
-adjacency) with exact push/pop inverses.
+The counts are kept over a fixed local universe (bitmask adjacency) with
+exact push/pop inverses.
 
 Updates cover only the live set. ``keep`` names the vertices that a node
 below the push may still read besides R (the engines pass what is left of C
-and D); a push updates A[v] or As[v] only for v in ``keep | rmask`` and saves
-that mask, which its pop replays. Entries of every other vertex go stale, and
-no node reads them again: a vertex read at a node lies in its R, C or D, and
+and D); a push updates A[v] only for v in ``keep | rmask`` and saves that
+mask, which its pop replays. Entries of every other vertex go stale, and no
+node reads them again: a vertex read at a node lies in its R, C or D, and
 was in ``keep | rmask`` at every push above it. The default ``keep = -1``
 updates the whole universe.
 """
@@ -159,7 +160,8 @@ class CliqueState:
 
 
 class DcliqueState:
-    """R, m̄(R), and A[v] = m̄(v, R) over a bitmask universe."""
+    """R, m̄(R), and A[v] = m̄(v, R) over a bitmask universe; R misses at
+    most s edges in total."""
 
     __slots__ = ("adj", "nonadj", "s", "R", "rmask", "walked", "total_missing", "A")
 
@@ -174,9 +176,13 @@ class DcliqueState:
         self.total_missing = 0
         self.A = [0] * len(adj)
 
+    def admits(self, u: int) -> bool:
+        """Whether R + {u} stays within the family's budget."""
+        return self.total_missing + self.A[u] <= self.s
+
     def push(self, u: int, keep: int = -1) -> None:
+        assert self.admits(u), "push would exceed the family's budget"
         A = self.A
-        assert self.total_missing + A[u] <= self.s, "push would exceed the missing-edge budget"
         self.total_missing += A[u]
         w = self.nonadj[u] & (keep | self.rmask)
         self.walked.append(w)
@@ -199,9 +205,8 @@ class DcliqueState:
         self.total_missing -= A[u]
         return u
 
-    def filter_candidates(self, C: int, u: int | None = None) -> int:
-        """Candidates v that keep R + {v} within budget (call after a push)."""
-        budget = self.s - self.total_missing
+    def _within(self, C: int, budget: int) -> int:
+        """Members v of C with A[v] <= budget."""
         A = self.A
         out = 0
         w = C
@@ -211,6 +216,10 @@ class DcliqueState:
                 out |= b
             w ^= b
         return out
+
+    def filter_candidates(self, C: int, u: int | None = None) -> int:
+        """Candidates v that keep R + {v} within budget (call after a push)."""
+        return self._within(C, self.s - self.total_missing)
 
     # a pivot whose deficiency exceeds the budget can never complete R again,
     # since the budget only shrinks below this node
@@ -246,50 +255,24 @@ class DcliqueState:
             "stale A on a live vertex"
 
 
-class PlexState:
-    """R, m̄(R), and As[v] = members of R non-adjacent to v, over a bitmask universe."""
+class PlexState(DcliqueState):
+    """The dclique bookkeeping; every member of R misses at most s others."""
 
-    __slots__ = ("adj", "nonadj", "s", "R", "rmask", "walked", "total_missing", "As")
+    __slots__ = ()
 
-    def __init__(self, adj: list[int], s: int):
-        self.adj = adj
-        full = (1 << len(adj)) - 1
-        self.nonadj = [full & ~a & ~(1 << i) for i, a in enumerate(adj)]
-        self.s = s
-        self.R: list[int] = []
-        self.rmask = 0
-        self.walked: list[int] = []  # the mask each push updated, for its pop
-        self.total_missing = 0
-        self.As: list[list[int]] = [[] for _ in adj]
-
-    def push(self, u: int, keep: int = -1) -> None:
-        As = self.As
-        Au = As[u]
+    def admits(self, u: int) -> bool:
+        """Whether u and every member it misses keep at most s non-neighbors."""
+        A = self.A
         s = self.s
-        assert len(Au) <= s, "push would exceed the per-vertex budget"
-        for v in Au:  # a loop, not all(...): no generator on every push
-            assert len(As[v]) < s, "push would saturate a member past its budget"
-        self.total_missing += len(Au)
-        w = self.nonadj[u] & (keep | self.rmask)
-        self.walked.append(w)
+        if A[u] > s:
+            return False
+        w = self.nonadj[u] & self.rmask
         while w:
             b = w & -w
-            As[b.bit_length() - 1].append(u)
+            if A[b.bit_length() - 1] >= s:
+                return False
             w ^= b
-        self.R.append(u)
-        self.rmask |= 1 << u
-
-    def pop(self) -> int:
-        u = self.R.pop()
-        self.rmask ^= 1 << u
-        As = self.As
-        w = self.walked.pop()
-        while w:
-            b = w & -w
-            As[b.bit_length() - 1].pop()
-            w ^= b
-        self.total_missing -= len(As[u])
-        return u
+        return True
 
     def filter_candidates(self, C: int, u: int) -> int:
         """Candidates still extendable after u's push.
@@ -299,19 +282,17 @@ class PlexState:
         Only u itself and u's non-neighbors inside R can be newly saturated.
         """
         s = self.s
-        As = self.As
+        A = self.A
         adj = self.adj
-        out = 0
-        w = C
+        out = self._within(C, s)
+        w = self.nonadj[u] & self.rmask
         while w:
             b = w & -w
-            if len(As[b.bit_length() - 1]) <= s:
-                out |= b
-            w ^= b
-        for v in As[u]:
-            if len(As[v]) == s:
+            v = b.bit_length() - 1
+            if A[v] == s:
                 out &= adj[v]
-        if len(As[u]) == s:
+            w ^= b
+        if A[u] == s:
             out &= adj[u]
         return out
 
@@ -322,23 +303,3 @@ class PlexState:
 
     def leaf_weights(self, D: int) -> None:
         return None
-
-    def recompute(self) -> list[list[int]]:
-        """From-scratch As for consistency checks."""
-        adj = self.adj
-        out: list[list[int]] = [[] for _ in adj]
-        for v in range(len(adj)):
-            for r in self.R:
-                if r != v and not (adj[v] >> r) & 1:
-                    out[v].append(r)
-        return out
-
-    def check_live(self, live: int) -> None:
-        """Assert the bookkeeping equals recompute() on R and live, the
-        vertices a node may read; the other entries may be stale."""
-        As = self.recompute()
-        assert self.rmask == sum(1 << r for r in self.R), "rmask is not R"
-        assert self.total_missing == sum(len(As[r]) for r in self.R) // 2, \
-            "stale missing-edge total"
-        assert all(self.As[v] == As[v] for v in iter_bits(live | self.rmask)), \
-            "stale As on a live vertex"

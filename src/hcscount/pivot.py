@@ -146,13 +146,13 @@ def plex_pivot_qualifiers(state: PlexState, C: int) -> list[int]:
     every result credited from the accumulated set.
     """
     s = state.s
-    As = state.As
+    A = state.A
     adj = state.adj
     nC = C.bit_count()
 
     heavy_r = 0
     for v in state.R:
-        if len(As[v]) + (nC - (adj[v] & C).bit_count()) > s - 1:
+        if A[v] + (nC - (adj[v] & C).bit_count()) > s - 1:
             heavy_r |= 1 << v
     if heavy_r == 0:
         return list(iter_bits(C))

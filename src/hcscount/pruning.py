@@ -66,8 +66,16 @@ def reduce_candidates(g: Graph, one: np.ndarray, two: np.ndarray,
     return one, np.array(kept, dtype=np.int64)
 
 
-def _greedy_fill(buckets: list[int], budget: int) -> int:
-    """Most vertices whose bucket-indexed costs sum within budget (cheapest first)."""
+def _greedy_neighbors(state: DcliqueState, u: int, C: int, budget: int) -> int:
+    """Most neighbors of u in C whose deficiencies A sum within budget
+    (cheapest first)."""
+    A = state.A
+    buckets = [0] * (state.s + 1)
+    w = state.adj[u] & C
+    while w:
+        b = w & -w
+        buckets[A[b.bit_length() - 1]] += 1
+        w ^= b
     taken = buckets[0]
     for cost in range(1, len(buckets)):
         if budget < cost:
@@ -84,20 +92,10 @@ def upper_bound_dclique(state: DcliqueState, u: int, C: int) -> int:
     |R|+1 listed, plus non-neighbors of u limited by the remaining edge
     budget, plus a greedy count of neighbors ordered by deficiency.
     """
-    s = state.s
-    A = state.A
-    r1 = len(state.R) + 1
-    slack = s - (state.total_missing + A[u])
-    nbr = state.adj[u] & C
+    slack = state.s - (state.total_missing + state.A[u])
     non_nbr = (C & ~state.adj[u]).bit_count()
-    buckets = [0] * (s + 1)
-    w = nbr
-    while w:
-        b = w & -w
-        buckets[A[b.bit_length() - 1]] += 1
-        w ^= b
-    omega = _greedy_fill(buckets, slack)
-    return r1 + min(slack, non_nbr) + omega - BOUND_FAULT
+    omega = _greedy_neighbors(state, u, C, slack)
+    return len(state.R) + 1 + min(slack, non_nbr) + omega - BOUND_FAULT
 
 
 def upper_bound_plex(state: PlexState, u: int, C: int) -> int:
@@ -108,16 +106,7 @@ def upper_bound_plex(state: PlexState, u: int, C: int) -> int:
     still afford.
     """
     s = state.s
-    As = state.As
     R = state.R
-    r1 = len(R) + 1
-    nbr = state.adj[u] & C
     non_nbr = (C & ~state.adj[u]).bit_count()
-    buckets = [0] * (s + 1)
-    w = nbr
-    while w:
-        b = w & -w
-        buckets[len(As[b.bit_length() - 1])] += 1
-        w ^= b
-    mid = _greedy_fill(buckets, s * len(R) - 2 * state.total_missing)
-    return r1 + mid + min(s - len(As[u]), non_nbr) - BOUND_FAULT
+    mid = _greedy_neighbors(state, u, C, s * len(R) - 2 * state.total_missing)
+    return len(R) + 1 + mid + min(s - state.A[u], non_nbr) - BOUND_FAULT

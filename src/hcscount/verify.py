@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from . import pruning, runner
 from .graph import Graph, from_edges, random_gnp
 from .listing import count_by_listing
-from .motifs import MotifSpec
+from .motifs import MotifSpec, SpecError
 from .oracle import MAX_ORACLE_VERTICES, OracleInfeasibleError, sweep
 from .pivot import count_by_pivot
+from .runner import RunConfigError
 
 FAULTS = ("prune-bound", "overflow")
 
@@ -73,7 +74,6 @@ class Mismatch:
 class VerifyReport:
     graphs_checked: int = 0
     specs_checked: int = 0
-    skipped: list[str] = field(default_factory=list)
     mismatches: list[Mismatch] = field(default_factory=list)
 
     @property
@@ -130,9 +130,6 @@ def _minimize(g: Graph, spec: MotifSpec, check_local: bool) -> Graph:
 def check_graph(g: Graph, specs: list[MotifSpec], report: VerifyReport, *,
                 check_local: bool = True, minimize: bool = True,
                 threads: int = 1) -> None:
-    if g.n > MAX_ORACLE_VERTICES:
-        report.skipped.append(f"graph with n={g.n}: oracle infeasible")
-        return
     report.graphs_checked += 1
     s_env = max(spec.s for spec in specs)
     q_env = max(spec.q_high for spec in specs)
@@ -156,8 +153,20 @@ def run_verification(*, seeds: int = 10, graph: Graph | None = None,
                      s_values=(0, 1, 2), q_max: int = 7,
                      fault: str | None = None, check_local: bool = True,
                      threads: int = 1) -> VerifyReport:
-    """Run the matrix over `seeds` random graphs (or one supplied graph)."""
+    """Run the matrix over `seeds` random graphs (or one supplied graph).
+
+    A run that would check nothing is refused: an empty spec matrix is a
+    SpecError, and fewer than one seed or a graph over the oracle's vertex
+    cap is a RunConfigError.
+    """
     specs = default_spec_matrix(s_values, q_max)
+    if not specs:
+        raise SpecError(f"no admissible spec with s in {list(s_values)} and q <= {q_max}")
+    if graph is None and seeds < 1:
+        raise RunConfigError(f"need at least 1 seed, got {seeds}")
+    if graph is not None and graph.n > MAX_ORACLE_VERTICES:
+        raise RunConfigError(f"graph has n={graph.n} vertices; the oracle takes at most "
+                             f"{MAX_ORACLE_VERTICES}")
     report = VerifyReport()
     inject_fault(fault)
     try:

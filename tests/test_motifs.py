@@ -166,29 +166,30 @@ class TestPlexState:
         adj = local_masks(4, [(0, 1), (0, 2)])
         state = PlexState(adj, s=2)
         state.push(0)
-        assert state.As[0] == [] and state.As[1] == [] and state.As[3] == [0]
+        assert state.total_missing == 0
+        assert state.A == [0, 0, 0, 1]
 
     @given(graphs, st.randoms())
     @settings(max_examples=60, deadline=None)
-    def test_push_pop_identity_and_As_matches_recompute(self, g, rnd):
+    def test_push_pop_identity_and_A_matches_recompute(self, g, rnd):
         n, edges = g
         adj = local_masks(n, edges)
+        # s = n: no vertex misses n others, so every push is admitted
         state = PlexState(adj, s=n)
-        before = [list(x) for x in state.As]
+        before = list(state.A)
         order = list(range(n))
         rnd.shuffle(order)
         pushed = 0
         for u in order[:6]:
-            if len(state.As[u]) >= n or any(len(state.As[v]) >= n for v in state.As[u]):
-                continue
             state.push(u)
             pushed += 1
-            assert state.recompute() == state.As
-            assert state.total_missing == sum(
+            total, A = state.recompute()
+            assert A == state.A
+            assert total == state.total_missing == sum(
                 1 for a, b in itertools.combinations(state.R, 2) if not (adj[a] >> b) & 1)
         for _ in range(pushed):
             state.pop()
-        assert [list(x) for x in state.As] == before
+        assert list(state.A) == before
         assert state.total_missing == 0
 
     def test_filter_matches_definitional_oracle(self):
@@ -232,8 +233,7 @@ def test_live_updates_match_recompute_and_pops_restore(cls, g, rnd):
     n, edges = g
     adj = local_masks(n, edges)
     state = cls(adj, s=n * n)
-    table = state.A if cls is DcliqueState else state.As
-    before = repr(table)
+    before = list(state.A)
     keeps = [(1 << n) - 1]
     for _ in range(14):
         live = keeps[-1]
@@ -248,8 +248,31 @@ def test_live_updates_match_recompute_and_pops_restore(cls, g, rnd):
         state.check_live(keeps[-1])  # recompute() on R | keep
     while state.R:
         state.pop()
-    assert repr(table) == before
+    assert state.A == before
     assert state.total_missing == 0 and state.rmask == 0 and state.walked == []
+
+
+@pytest.mark.parametrize("cls", [DcliqueState, PlexState])
+@given(graphs, st.integers(0, 3), st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_push_accepted_exactly_when_result_stays_hcs(cls, g, s, rnd):
+    # the push's own budget check against the definition: R + [u] must be an
+    # s-dclique / s-plex; a refused push leaves the state untouched
+    n, edges = g
+    graph = from_edges(sorted(edges), vertex_universe=list(range(n)))
+    spec = MotifSpec("dclique" if cls is DcliqueState else "plex", s, 1, n)
+    state = cls(graph.adjacency_masks(), s)
+    order = list(range(n))
+    rnd.shuffle(order)
+    for u in order:
+        if is_hcs(spec, graph, state.R + [u]):
+            state.push(u)
+        else:
+            before = (list(state.R), state.total_missing, list(state.A))
+            with pytest.raises(AssertionError):
+                state.push(u)
+            assert (state.R, state.total_missing, state.A) == before
+    assert is_hcs(spec, graph, state.R)
 
 
 class TestHereditariness:

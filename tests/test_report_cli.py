@@ -153,6 +153,27 @@ class TestExitCodes:
                    "--inject-fault", "overflow"])
         assert rc == 4
 
+    @pytest.mark.parametrize("extra, reason", [
+        (["--q-max", "1"], "no admissible spec"),
+        (["--q-max", "0"], "no admissible spec"),
+        (["--s-max", "-1"], "no admissible spec"),
+        (["--seeds", "-2"], "at least 1 seed"),
+        (["--seeds", "0"], "at least 1 seed"),
+        (["--input", None], "the oracle takes at most 400"),
+    ])
+    def test_verify_checking_nothing_is_2(self, extra, reason, tmp_path, capsys):
+        # each of these once crashed or printed PASS after 0 spec runs
+        if None in extra:
+            big = tmp_path / "path401.txt"
+            big.write_text("".join(f"{i} {i + 1}\n" for i in range(400)))
+            extra = [str(big) if x is None else x for x in extra]
+        assert main(["verify"] + extra) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        lines = [ln for ln in err.splitlines()
+                 if ln.startswith("invalid motif or run parameters: ")]
+        assert len(lines) == 1 and reason in lines[0]
+
 
 class TestCountCommand:
     def test_json_report_counts_are_decimal_strings(self, ref7_file, tmp_path):
