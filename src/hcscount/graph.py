@@ -10,9 +10,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -200,6 +200,18 @@ class DegeneracyOrder:
     degeneracy: int
     core_numbers: np.ndarray
 
+    @cached_property
+    def rank_list(self) -> list[int]:
+        """``rank`` as Python ints, built on first use; per-root preparation
+        reads it one vertex at a time."""
+        return self.rank.tolist()
+
+    def __getstate__(self) -> dict:
+        # like Graph.nbrs: pool workers rebuild the list themselves
+        state = self.__dict__.copy()
+        state.pop("rank_list", None)
+        return state
+
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
     """Min-degree peeling with smallest-id tie-break; also yields core numbers.
@@ -251,7 +263,7 @@ class RootNeighborhood:
     """
 
     root: int
-    verts: np.ndarray
+    verts: list[int]
     adj: list[int]
     cand_pre: int
 
@@ -269,40 +281,40 @@ class RootNeighborhood:
 
 
 def collect_candidates(g: Graph, order: DegeneracyOrder, root: int,
-                       two_hop: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Raw higher-rank 1-hop and 2-hop candidate sets of a root.
+                       two_hop: bool = True) -> tuple[list[int], list[int]]:
+    """Raw higher-rank 1-hop and 2-hop candidates of a root, each ascending.
 
     A 2-hop candidate is any higher-rank non-neighbor sharing at least one
     common neighbor with the root (the middle vertex may have any rank).
     """
-    rank = order.rank
-    nbrs = g.neighbors(root)
-    one = nbrs[rank[nbrs] > rank[root]].astype(np.int64)
-    if not two_hop:
-        return one, np.zeros(0, dtype=np.int64)
+    rank = order.rank_list
+    r = rank[root]
     adj = g.nbrs
-    pool = set().union(*[adj[v] for v in adj[root]])
+    near = adj[root]
+    one = [v for v in near if rank[v] > r]
+    if not two_hop:
+        return one, []
+    pool = set().union(*[adj[v] for v in near])
     # 2-hop means non-adjacent to the root
-    pool.difference_update(adj[root])
+    pool.difference_update(near)
     pool.discard(root)
-    cand = np.fromiter(pool, dtype=np.int64, count=len(pool))
-    two = cand[rank[cand] > rank[root]]
-    two.sort()
-    return one, two
+    return one, sorted([w for w in pool if rank[w] > r])
 
 
-def build_root_neighborhood(g: Graph, root: int, one: np.ndarray, two: np.ndarray,
+def build_root_neighborhood(g: Graph, root: int, one: Sequence[int], two: Sequence[int],
                             cand_pre: int | None = None) -> RootNeighborhood:
-    """Assemble local bitmask adjacency over {root} + surviving candidates."""
-    verts = sorted(one.tolist() + two.tolist())
+    """Assemble local bitmask adjacency over {root} + surviving candidates.
+
+    ``one`` and ``two`` may be any int sequences (lists or NumPy arrays).
+    """
+    verts = sorted(map(int, chain(one, two)))
     L = len(verts)
     bit = {v: 1 << i for i, v in enumerate(verts)}
     bit[root] = 1 << L
     adj = g.nbrs
     # the bits of distinct members are distinct, so their sum is their OR
     masks = [sum(map(bit.get, adj[u], repeat(0))) for u in verts + [root]]
-    return RootNeighborhood(root, np.array(verts, dtype=np.int64), masks,
-                            cand_pre if cand_pre is not None else L)
+    return RootNeighborhood(root, verts, masks, cand_pre if cand_pre is not None else L)
 
 
 def complete_graph(n: int) -> Graph:

@@ -131,6 +131,6 @@ def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
         rn = prepare_root(g, order, int(root), spec, prune, stats)
         if rn is None:
             continue
-        verts = rn.verts.tolist() + [int(rn.root)]
+        verts = rn.verts + [int(rn.root)]
         _list_root(rn, rules, spec, prune, stats,
                    lambda members: sink(tuple(sorted(verts[x] for x in members))))

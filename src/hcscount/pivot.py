@@ -263,7 +263,7 @@ class _RootLocal:
 
     def __init__(self, rn: RootNeighborhood, acc: LocalCounts):
         self.acc = acc
-        self.verts = rn.verts.tolist() + [int(rn.root)]
+        self.verts = rn.verts + [int(rn.root)]
         self.adj = rn.adj
         n = len(self.verts)
         self.pv = [0] * n if acc.per_vertex is not None else None

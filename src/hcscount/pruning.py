@@ -8,7 +8,7 @@ skipped. Both are lossless: counts with and without them must agree.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
 from .graph import Graph
 from .motifs import DcliqueState, PlexState
@@ -18,14 +18,15 @@ from .motifs import DcliqueState, PlexState
 BOUND_FAULT = 0
 
 
-def _induced_core(g: Graph, one: np.ndarray, k: int) -> np.ndarray:
+def _induced_core(g: Graph, one: Sequence[int], k: int) -> list[int]:
     """k-core of the subgraph induced by `one` (peeling to a fixed point)."""
-    members = one.tolist()
-    alive = set(members)
+    if len(one) <= k:
+        return []  # no member can have k neighbors among the others
+    alive = set(one)
     adj = g.nbrs
-    local_nbrs = {u: alive.intersection(adj[u]) for u in members}
+    local_nbrs = {u: alive.intersection(adj[u]) for u in one}
     deg = {u: len(nb) for u, nb in local_nbrs.items()}
-    stack = [u for u in members if deg[u] < k]
+    stack = [u for u in one if deg[u] < k]
     while stack:
         u = stack.pop()
         if u not in alive:
@@ -36,11 +37,11 @@ def _induced_core(g: Graph, one: np.ndarray, k: int) -> np.ndarray:
                 deg[v] -= 1
                 if deg[v] == k - 1:
                     stack.append(v)
-    return np.array([u for u in members if u in alive], dtype=np.int64)
+    return [u for u in one if u in alive]
 
 
-def reduce_candidates(g: Graph, one: np.ndarray, two: np.ndarray,
-                      family: str, q: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+def reduce_candidates(g: Graph, one: Sequence[int], two: Sequence[int],
+                      family: str, q: int, s: int) -> tuple[list[int], list[int]]:
     """Shrink a root's candidate sets for a target size q (q_low on ranges).
 
     1-hop candidates are peeled to a core of their induced subgraph: every
@@ -48,22 +49,24 @@ def reduce_candidates(g: Graph, one: np.ndarray, two: np.ndarray,
     common neighbors with the root. The plex threshold is weaker because up
     to s fellow members may sit outside the root's neighborhood entirely.
     2-hop candidates then need q-s-1 (dclique) or q-2s (plex) neighbors in
-    the surviving core.
+    the surviving core, so none survives a core smaller than that. Takes any
+    ascending int sequences and returns lists that keep their order.
     """
     core_k = (q - s - 2) if family != "plex" else (q - 2 * s - 2)
-    if core_k > 0 and len(one):
-        one = _induced_core(g, one, core_k)
-    if not len(two):
-        return one, two
-    if family == "clique":
-        return one, np.zeros(0, dtype=np.int64)
+    one = _induced_core(g, one, core_k) if core_k > 0 else list(one)
     need = (q - s - 1) if family == "dclique" else (q - 2 * s)
+    if family == "clique" or len(one) < need:
+        return one, []
     if need <= 0:
-        return one, two
-    core = set(one.tolist())
+        return one, list(two)
+    # count each 2-hop candidate's core neighbors from the core's side: the
+    # core is small after the peel, while a 2-hop ball can be large
+    hits = dict.fromkeys(two, 0)
     adj = g.nbrs
-    kept = [w for w in two.tolist() if len(core.intersection(adj[w])) >= need]
-    return one, np.array(kept, dtype=np.int64)
+    for u in one:
+        for w in hits.keys() & adj[u]:
+            hits[w] += 1
+    return one, [w for w, c in hits.items() if c >= need]
 
 
 def _greedy_neighbors(state: DcliqueState, u: int, C: int, budget: int) -> int:

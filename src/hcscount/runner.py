@@ -8,6 +8,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import pruning
 from .graph import (DegeneracyOrder, Graph, RootNeighborhood,
                     build_root_neighborhood, collect_candidates, degeneracy_order)
@@ -157,6 +159,23 @@ def _drop_pool() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _chunk_costs(g: Graph, order: DegeneracyOrder, size: int) -> list[float]:
+    """Estimated cost of each run of `size` consecutive roots in the order.
+
+    A root's search is bounded by 2 to the size of its universe, whose 1-hop
+    part is the root's number of higher-rank neighbors, so a chunk costs
+    about the sum of 2 ** that number over its roots (capped so that the sum
+    stays finite). On power-law graphs the last roots in degeneracy order
+    sit in the densest core and cost the most; on G(n, p) the first ones do,
+    since every other vertex still outranks them.
+    """
+    rank = order.rank
+    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    later = np.bincount(src[rank[g.indices] > rank[src]], minlength=g.n)
+    weight = np.exp2(np.minimum(later, 900))[order.order]
+    return np.add.reduceat(weight, np.arange(0, len(weight), size)).tolist()
+
+
 def run_over_roots(root_worker, g: Graph, spec: MotifSpec, *, prune: bool,
                    threads: int, order: DegeneracyOrder | None = None):
     """Map a per-root-chunk worker over all roots; yields partial results.
@@ -164,7 +183,10 @@ def run_over_roots(root_worker, g: Graph, spec: MotifSpec, *, prune: bool,
     The worker signature is worker(g, order, spec, prune, roots) -> partial.
     Roots are processed in degeneracy-rank order; with threads == 1 the call
     runs inline (canonical recursion for debugging). With threads > 1 the
-    chunks go to the process's shared pool, each with the run's RunConfig.
+    roots are cut into threads * 4 contiguous chunks, which go to the
+    process's shared pool, each with the run's RunConfig. They are submitted
+    costliest first (by _chunk_costs), so that the costliest chunk does not
+    run alone at the end of the call; partials come in submission order.
     """
     if order is None:
         order = degeneracy_order(g)
@@ -174,14 +196,14 @@ def run_over_roots(root_worker, g: Graph, spec: MotifSpec, *, prune: bool,
         return
     n_chunks = threads * 4
     size = max(1, (len(roots) + n_chunks - 1) // n_chunks)
-    chunks = [roots[i:i + size] for i in range(0, len(roots), size)]
+    costs = _chunk_costs(g, order, size)
     config = RunConfig.current()
     pool = _shared_pool(threads)
     futures = []
     try:
-        for c in chunks:
+        for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
             futures.append(pool.submit(_run_chunk, config, root_worker, g, order, spec,
-                                       prune, c))
+                                       prune, roots[k * size:(k + 1) * size]))
         for f in futures:
             yield f.result()
     except BrokenProcessPool:

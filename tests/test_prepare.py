@@ -6,12 +6,22 @@ the 2-hop common-neighbor threshold and the local bitmask adjacency.
 """
 
 import pickle
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hcscount import MotifSpec, count_by_pivot, degeneracy_order, from_edges, random_gnp
-from hcscount.runner import RunStats, prepare_root
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import gen  # noqa: E402
+
+from hcscount import (MotifSpec, build_root_neighborhood, collect_candidates,  # noqa: E402
+                      count_by_pivot, degeneracy_order, from_edges, load_edge_list,
+                      random_gnp)
+from hcscount.pruning import reduce_candidates  # noqa: E402
+from hcscount.runner import RunStats, prepare_root  # noqa: E402
 
 
 def planted_graph(seed: int):
@@ -29,8 +39,16 @@ def planted_graph(seed: int):
     return from_edges(pairs, vertex_universe=np.arange(n))
 
 
+def social_graph(n: int):
+    """The benchmark generator's social graph (Chung-Lu plus planted
+    communities). It is sparse: for most roots the reduced 1-hop core is
+    empty or smaller than the 2-hop threshold."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return load_edge_list(gen.social(1, Path(tmp), n)[0])
+
+
 GRAPHS = [random_gnp(30, 0.15, seed=11), random_gnp(24, 0.4, seed=12),
-          random_gnp(18, 0.6, seed=13), planted_graph(14)]
+          random_gnp(18, 0.6, seed=13), planted_graph(14), social_graph(160)]
 
 
 def specs():
@@ -44,12 +62,16 @@ def specs():
     return out
 
 
-def naive_prepare(edges, rank, root, spec, prune):
-    """(verts, adj, cand_pre, cand_now) of one root, from sets only."""
+def naive_neighbors(edges):
     nb = {}
     for u, v in edges:
         nb.setdefault(u, set()).add(v)
         nb.setdefault(v, set()).add(u)
+    return nb
+
+
+def naive_prepare(nb, rank, root, spec, prune):
+    """(verts, adj, cand_pre, cand_now) of one root, from sets only."""
     near = nb.get(root, set())
     one = {v for v in near if rank[v] > rank[root]}
     two = set()
@@ -81,14 +103,14 @@ def naive_prepare(edges, rank, root, spec, prune):
 def test_prepare_root_matches_naive_reference(gi):
     g = GRAPHS[gi]
     order = degeneracy_order(g)
-    edges = g.edge_list()
+    nb = naive_neighbors(g.edge_list())
     rank = order.rank.tolist()
     for spec in specs():
         for prune in (True, False):
             for root in order.order.tolist():
                 stats = RunStats()
                 rn = prepare_root(g, order, root, spec, prune, stats)
-                want = naive_prepare(edges, rank, root, spec, prune)
+                want = naive_prepare(nb, rank, root, spec, prune)
                 assert (stats.cand_pre, stats.cand_now) == want[2:], (gi, spec, prune, root)
                 if 1 + want[3] < spec.q_low:
                     # no result can reach q_low: no universe is built
@@ -99,12 +121,48 @@ def test_prepare_root_matches_naive_reference(gi):
 
 
 def test_planted_graph_reduction_removes_candidates():
-    g = GRAPHS[-1]
+    g = GRAPHS[3]
     stats = RunStats()
     order = degeneracy_order(g)
     for root in order.order.tolist():
         prepare_root(g, order, root, MotifSpec.single("dclique", 1, 6), True, stats)
     assert stats.cand_now < stats.cand_pre / 2
+
+
+def test_social_graph_mostly_ends_below_the_two_hop_threshold():
+    """The reference check above covers both ways a reduced core can fall
+    short of the 2-hop threshold: empty (most roots) or small but not empty."""
+    g = GRAPHS[4]
+    order = degeneracy_order(g)
+    spec = MotifSpec.single("plex", 1, 6)
+    need = spec.q_low - 2 * spec.s
+    empty = small = with_two = 0
+    for root in order.order.tolist():
+        one, two = collect_candidates(g, order, root)
+        if two:
+            with_two += 1
+            core, kept = reduce_candidates(g, one, two, spec.family, spec.q_low, spec.s)
+            empty += not core
+            small += 0 < len(core) < need
+            assert len(core) >= need or not kept
+    assert 2 * empty > with_two > 0 and small > 0
+
+
+@pytest.mark.parametrize("gi", [3, 4])
+def test_arrays_and_lists_prepare_alike(gi):
+    g = GRAPHS[gi]
+    order = degeneracy_order(g)
+    as_array = lambda xs: np.array(xs, dtype=np.int64)  # noqa: E731
+    for family, s, q in (("clique", 0, 4), ("dclique", 1, 5), ("plex", 1, 4), ("plex", 2, 6)):
+        for root in order.order.tolist():
+            one, two = collect_candidates(g, order, root, s >= 1)
+            lists = reduce_candidates(g, one, two, family, q, s)
+            arrays = reduce_candidates(g, as_array(one), as_array(two), family, q, s)
+            assert [list(map(int, xs)) for xs in arrays] == list(lists)
+            a = build_root_neighborhood(g, root, *map(as_array, lists), cand_pre=7)
+            b = build_root_neighborhood(g, root, *lists, cand_pre=7)
+            assert (a.verts, a.adj, a.cand_pre) == (b.verts, b.adj, b.cand_pre)
+            assert all(type(v) is int for v in a.verts)
 
 
 def test_pickled_graph_stays_csr_only():

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 from hcscount import (CounterOverflowError, MotifSpec, count_by_listing, count_by_pivot,
-                      random_gnp, runner)
+                      degeneracy_order, from_edges, random_gnp, runner)
 from hcscount.verify import inject_fault
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -24,6 +25,23 @@ FAULT_SPEC = ("plex", 1, 5)
 
 def _exit_worker(g, order, spec, prune, roots):
     os._exit(1)
+
+
+def _roots_worker(g, order, spec, prune, roots):
+    return roots
+
+
+class _InlinePool:
+    """Runs each submitted chunk at once and records the order of submission."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(args[-1])
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def _pivot_answer(g, spec, threads):
@@ -41,6 +59,32 @@ def test_counter_overflow_leaves_the_pool_usable():
     finally:
         inject_fault(None)
     assert count_by_pivot(g, spec, threads=2).counts == count_by_pivot(g, spec).counts
+
+
+def test_chunks_are_submitted_costliest_first(monkeypatch):
+    """The partition stays contiguous runs of the order, submitted by
+    descending sum over their roots of 2 ** (higher-rank neighbors)."""
+    # a long path peels first and a K12 last, so a late chunk is costliest;
+    # in G(n, p) the early roots are outranked by most of their neighbors
+    tail = from_edges([(i, i + 1) for i in range(30)]
+                      + [(u, v) for u in range(30, 42) for v in range(u + 1, 42)])
+    dense = random_gnp(30, 0.5, seed=5)
+    for g, costliest in ((tail, 5), (dense, 1)):
+        order = degeneracy_order(g).order.tolist()
+        rank = {u: i for i, u in enumerate(order)}
+        pool = _InlinePool()
+        monkeypatch.setattr(runner, "_shared_pool", lambda threads: pool)
+        parts = list(runner.run_over_roots(_roots_worker, g, MotifSpec.single("clique", 0, 3),
+                                           prune=True, threads=2))
+        assert parts == pool.submitted
+        chunks = sorted(parts, key=lambda part: rank[part[0]])
+        assert [r for part in chunks for r in part] == order
+        assert len({len(part) for part in chunks[:-1]}) == 1
+
+        def cost(part):
+            return sum(2 ** sum(rank[v] > rank[u] for v in g.nbrs[u]) for u in part)
+        assert [cost(p) for p in parts] == sorted(map(cost, parts), reverse=True)
+        assert parts[0] == chunks[costliest]
 
 
 def test_broken_pool_is_replaced():
