@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 over every answer and search statistic of a fixed matrix.
+"""Print two sha256 lines over every answer and search statistic of a fixed matrix.
 
 Usage: PYTHONPATH=src python3 scripts/answer_digest.py
 
@@ -7,9 +7,13 @@ Both engines run over fixed graphs (the benchmark generator's social, dense
 and gate inputs, plus four seeded G(n, p) graphs) and a fixed list of specs,
 with pruning on and off; the pivot engine runs with local="both". Each run
 adds its counts, sorted per-vertex and per-edge locals and every integer
-RunStats field (so not wall_time) to the digest. Two checkouts that give the
-same answers and search the same trees on this matrix print the same line:
-run the script in both and compare. It takes one to two minutes on one core.
+RunStats field (so not wall_time) to the first digest. The second digest
+covers the eight small graphs (gate and G(n, p)) only: both engines again
+with threads=2, which goes through the process pool and the merge of its
+chunks, and the sorted result sets of enumerate_by_listing. Two checkouts
+that give the same answers and search the same trees on this matrix print
+the same lines: run the script in both and compare. It takes two to three
+minutes on two cores.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
 
 from hcscount import (MotifSpec, count_by_listing, count_by_pivot,  # noqa: E402
-                      load_edge_list, random_gnp)
+                      enumerate_by_listing, load_edge_list, random_gnp)
 
 SEED = 1
+LARGE = ("social", "dense")
 GNP = [(20, 0.5, 7001), (24, 0.4, 7002), (30, 0.3, 7003), (18, 0.7, 7004)]
 # (family, s, q_low, q_high); the listing engine takes the single sizes only
 SPECS = [
@@ -56,26 +61,39 @@ def stats_key(stats) -> tuple:
                  if isinstance(getattr(stats, f.name), int))
 
 
+def engine_rows(name, g, spec, prune, threads) -> list[tuple]:
+    piv = count_by_pivot(g, spec, prune=prune, local="both", threads=threads)
+    rows = [("pivot", name, spec, prune, sorted(piv.counts.items()),
+             piv.local.per_vertex, sorted(piv.local.per_edge.items()),
+             stats_key(piv.stats))]
+    if spec.q_low == spec.q_high:
+        lst = count_by_listing(g, spec, prune=prune, threads=threads)
+        rows.append(("listing", name, spec, prune, lst.count, stats_key(lst.stats)))
+    return rows
+
+
 def main() -> int:
-    digest = hashlib.sha256()
-    runs = 0
+    digests = {"runs": hashlib.sha256(), "extended runs": hashlib.sha256()}
+    runs = dict.fromkeys(digests, 0)
     with tempfile.TemporaryDirectory() as tmp:
         for name, g in graphs(Path(tmp)):
             for fam, s, lo, hi in SPECS:
                 spec = MotifSpec(fam, s, lo, hi)
                 for prune in (True, False):
-                    piv = count_by_pivot(g, spec, prune=prune, local="both")
-                    rows = [("pivot", name, spec, prune, sorted(piv.counts.items()),
-                             piv.local.per_vertex, sorted(piv.local.per_edge.items()),
-                             stats_key(piv.stats))]
-                    if lo == hi:
-                        lst = count_by_listing(g, spec, prune=prune)
-                        rows.append(("listing", name, spec, prune, lst.count,
-                                     stats_key(lst.stats)))
-                    for row in rows:
-                        digest.update(repr(row).encode())
-                        runs += 1
-    print(f"{runs} runs sha256={digest.hexdigest()}")
+                    rows = {"runs": engine_rows(name, g, spec, prune, 1)}
+                    if name not in LARGE:
+                        wide = engine_rows(name, g, spec, prune, 2)
+                        if lo == hi:
+                            found = []
+                            enumerate_by_listing(g, spec, found.append, prune=prune)
+                            wide.append(("enumerate", name, spec, prune, sorted(found)))
+                        rows["extended runs"] = wide
+                    for key, part in rows.items():
+                        for row in part:
+                            digests[key].update(repr(row).encode())
+                            runs[key] += 1
+    for key, digest in digests.items():
+        print(f"{runs[key]} {key} sha256={digest.hexdigest()}")
     return 0
 
 

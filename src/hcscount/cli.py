@@ -15,7 +15,7 @@ import logging
 import math
 import sys
 
-from .graph import Graph, ParseError, degeneracy_order, load_edge_list
+from .graph import ParseError, degeneracy_order, load_edge_list
 from .listing import count_by_listing
 from .motifs import MotifSpec, SpecError
 from .pivot import count_by_pivot

@@ -16,6 +16,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+ID_RANGE = range(-2**63, 2**63)  # vertex ids are stored as int64
+
 
 class ParseError(ValueError):
     """Malformed edge-list input; carries the 1-based line number."""
@@ -183,6 +185,10 @@ def load_edge_list(source: str | Path | IO) -> Graph:
                 u, v = int(tok[0]), int(tok[1])
             except ValueError:
                 raise ParseError(f"non-integer token in {tok!r}", line_no) from None
+            # an id outside int64 takes at least 19 characters, so only a line
+            # longer than 20 (two ids and a space) can hold one
+            if len(line) > 20 and (u not in ID_RANGE or v not in ID_RANGE):
+                raise ParseError(f"vertex id outside the int64 range in {tok!r}", line_no)
             stats.data_lines += 1
             pairs.append((u, v))
     finally:

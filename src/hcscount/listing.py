@@ -10,32 +10,22 @@ recursing one more level.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from functools import partial
 
-from .graph import DegeneracyOrder, Graph, RootNeighborhood, degeneracy_order
+from .graph import DegeneracyOrder, Graph, RootNeighborhood
 from .motifs import MotifSpec, iter_bits
-from .pivot import FAMILY_RULES, Family
-from .runner import RunStats, check_counter, prepare_root, run_over_roots
+from .pivot import FAMILY_RULES
+from .runner import Run, RunStats, prepare_root, run_over_roots
 
 
-@dataclass
-class ListRun:
-    spec: MotifSpec
-    count: int
-    stats: RunStats
-    pruned: bool
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return {self.spec.q_low: self.count}
-
-
-def _list_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool,
-               stats: RunStats, emit=None) -> int:
-    """Size-q results rooted at rn's root; emit(members) receives each one
-    in local ids when given."""
+def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
+                 sink=None) -> None:
+    """Counts the size-q results rooted at rn's root; sink receives each one,
+    when given, as a sorted tuple of dense vertex ids."""
     q = spec.q_low
+    stats = run.stats
+    verts = rn.verts + [int(rn.root)] if sink is not None else None
+    rules = FAMILY_RULES[spec.family]
     state = rules.root_state(rn, spec.s)
     R = state.R
     push, pop = state.push, state.pop
@@ -45,9 +35,9 @@ def _list_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool
     def rec(C: int) -> int:
         stats.nodes += 1
         if len(R) == q - 1:
-            if emit is not None:
+            if sink is not None:
                 for c in iter_bits(C):
-                    emit(R + [c])
+                    sink(tuple(sorted(verts[x] for x in R + [c])))
             return C.bit_count()
         total = 0
         w = C
@@ -67,45 +57,30 @@ def _list_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool
             pop()
         return total
 
-    total = rec(rn.cand_mask)
+    run.counts[q] += rec(rn.cand_mask)
     # rec holds itself through its closure: dropping the name frees this
     # root's state now instead of at the next cyclic garbage collection
     del rec
-    return total
 
 
-def _list_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool,
-                 roots: list[int]) -> tuple[int, RunStats]:
-    stats = RunStats()
-    rules = FAMILY_RULES[spec.family]
-    total = 0
-    for root in roots:
-        rn = prepare_root(g, order, root, spec, prune, stats)
-        if rn is not None:
-            total += _list_root(rn, rules, spec, prune, stats)
-        check_counter(total)
-    return total, stats
+def _list_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec, prune: bool,
+               run: Run, sink=None) -> None:
+    """One root of a listing run; kept free of closures, since most roots are
+    cut before any search."""
+    rn = prepare_root(g, order, root, spec, prune, run.stats)
+    if rn is not None:
+        _list_search(rn, spec, prune, run, sink)
 
 
 def count_by_listing(g: Graph, spec: MotifSpec, *, prune: bool = True,
-                     threads: int = 1, order: DegeneracyOrder | None = None) -> ListRun:
+                     threads: int = 1, order: DegeneracyOrder | None = None) -> Run:
     """Count HCSs of one exact size by listing each exactly once."""
     spec.validate()
     if spec.is_range:
         raise ValueError("the listing engine counts a single size; use the pivot engine for ranges")
-    t0 = time.perf_counter()
-    stats = RunStats()
-    total = 0
-    if g.n and spec.q_low == 1:
-        total = g.n
-    elif g.n:
-        for part, pstats in run_over_roots(_list_worker, g, spec, prune=prune,
-                                           threads=threads, order=order):
-            total += part
-            stats.merge(pstats)
-            check_counter(total)
-    stats.wall_time = time.perf_counter() - t0
-    return ListRun(spec, total, stats, prune)
+    if spec.q_low == 1:
+        return Run(spec, {1: g.n}, RunStats(), prune)
+    return run_over_roots(_list_root, g, spec, prune=prune, threads=threads, order=order)
 
 
 def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
@@ -119,18 +94,9 @@ def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
     spec.validate()
     if spec.is_range:
         raise ValueError("enumerate_by_listing takes a single size")
-    if order is None:
-        order = degeneracy_order(g)
     if spec.q_low == 1:
         for u in range(g.n):
             sink((u,))
         return
-    rules = FAMILY_RULES[spec.family]
-    stats = RunStats()
-    for root in order.order:
-        rn = prepare_root(g, order, int(root), spec, prune, stats)
-        if rn is None:
-            continue
-        verts = rn.verts + [int(rn.root)]
-        _list_root(rn, rules, spec, prune, stats,
-                   lambda members: sink(tuple(sorted(verts[x] for x in members))))
+    run_over_roots(partial(_list_root, sink=sink), g, spec, prune=prune, threads=1,
+                   order=order)

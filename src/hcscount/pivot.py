@@ -28,15 +28,15 @@ closure set, or the members of D) and their edges (see _RootLocal).
 from __future__ import annotations
 
 import math
-import time
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .graph import DegeneracyOrder, Graph, RootNeighborhood
 from .motifs import CliqueState, DcliqueState, MotifSpec, PlexState, iter_bits
 from .pruning import upper_bound_dclique, upper_bound_plex
-from .runner import RunStats, check_counter, prepare_root, run_over_roots
+from .runner import LocalCounts, Run, prepare_root, run_over_roots
 
 
 def binom(n: int, k: int) -> int:
@@ -205,34 +205,6 @@ FAMILY_RULES = {
 }
 
 
-@dataclass
-class LocalCounts:
-    """Exact per-vertex and/or per-edge result counts (dense vertex ids)."""
-
-    per_vertex: list[int] | None = None
-    per_edge: dict[tuple[int, int], int] | None = None
-
-    def merge(self, other: "LocalCounts") -> None:
-        if self.per_vertex is not None and other.per_vertex is not None:
-            for i, c in enumerate(other.per_vertex):
-                self.per_vertex[i] += c
-        if self.per_edge is not None and other.per_edge is not None:
-            for k, c in other.per_edge.items():
-                self.per_edge[k] = self.per_edge.get(k, 0) + c
-
-
-@dataclass
-class PivotRun:
-    spec: MotifSpec
-    counts: dict[int, int]
-    stats: RunStats
-    pruned: bool
-    local: LocalCounts | None = None
-
-    def total(self, q: int) -> int:
-        return self.counts.get(q, 0)
-
-
 # A root's held masks are expanded after this many leaves (fewer on universes
 # of over 1024 vertices), which bounds their memory.
 HOLD_LEAVES = 4096
@@ -240,7 +212,7 @@ HOLD_LEAVES = 4096
 
 class _RootLocal:
     """Per-root local-count scratch in local ids, added in dense ids into the
-    worker's LocalCounts by flush.
+    run's LocalCounts by flush.
 
     Every result found below a push contains all of R, so a member of R is
     credited once, at its pop, not at every leaf below it: `found` counts the
@@ -380,12 +352,14 @@ class _RootLocal:
         he.clear()
 
 
-def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: bool,
-                counts: dict[int, int], stats: RunStats, scratch: _RootLocal | None,
-                probe=None, debug_checks: bool = False) -> None:
+def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
+                  probe=None, debug_checks: bool = False) -> None:
     q_lo, q_hi = spec.q_low, spec.q_high
     adj = rn.adj
     close_lo = q_hi - 1 >= q_lo
+    counts, stats = run.counts, run.stats
+    scratch = _RootLocal(rn, run.local) if run.local is not None else None
+    rules = FAMILY_RULES[spec.family]
     state = rules.root_state(rn, spec.s)
     R = state.R
     push, pop = state.push, state.pop
@@ -472,37 +446,26 @@ def _pivot_root(rn: RootNeighborhood, rules: Family, spec: MotifSpec, prune: boo
     rec(rn.cand_mask, 0)
     if scratch is not None:
         scratch.credit_member(R, scratch.found)  # the root
+        scratch.flush()
     # rec holds itself through its closure: dropping the name frees this
     # root's state now instead of at the next cyclic garbage collection
     del rec
 
 
-def _pivot_worker(g: Graph, order: DegeneracyOrder, spec: MotifSpec, prune: bool,
-                  roots: list[int], want_v: bool = False, want_e: bool = False,
-                  probe=None, debug_checks: bool = False):
-    stats = RunStats()
-    counts = {q: 0 for q in spec.sizes}
-    acc = None
-    if want_v or want_e:
-        acc = LocalCounts(per_vertex=[0] * g.n if want_v else None,
-                          per_edge={} if want_e else None)
-    rules = FAMILY_RULES[spec.family]
-    for root in roots:
-        rn = prepare_root(g, order, root, spec, prune, stats)
-        if rn is None:
-            stats.nodes += 1  # the root node, cut by the size check
-            continue
-        scratch = _RootLocal(rn, acc) if acc is not None else None
-        _pivot_root(rn, rules, spec, prune, counts, stats, scratch, probe, debug_checks)
-        if scratch is not None:
-            scratch.flush()
-        check_counter(max(counts.values(), default=0))
-    return counts, stats, acc
+def _pivot_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec, prune: bool,
+                run: Run, probe=None, debug_checks: bool = False) -> None:
+    """One root of a pivot run; kept free of closures, since most roots are
+    cut before any search."""
+    rn = prepare_root(g, order, root, spec, prune, run.stats)
+    if rn is None:
+        run.stats.nodes += 1  # the root node, cut by the size check
+    else:
+        _pivot_search(rn, spec, prune, run, probe, debug_checks)
 
 
 def count_by_pivot(g: Graph, spec: MotifSpec, *, prune: bool = True, threads: int = 1,
                    local: str | None = None, order: DegeneracyOrder | None = None,
-                   probe=None, debug_checks: bool = False) -> PivotRun:
+                   probe=None, debug_checks: bool = False) -> Run:
     """Exact counts for every size in the spec's range from one traversal.
 
     local may be 'vertex', 'edge', or 'both' to also collect local counts.
@@ -510,36 +473,10 @@ def count_by_pivot(g: Graph, spec: MotifSpec, *, prune: bool = True, threads: in
     spec.validate()
     if local not in (None, "vertex", "edge", "both"):
         raise ValueError(f"unknown local granularity {local!r}")
-    want_v = local in ("vertex", "both")
-    want_e = local in ("edge", "both")
-    if (probe is not None or debug_checks) and threads > 1:
-        raise ValueError("probe/debug runs require threads=1")
-    t0 = time.perf_counter()
-    stats = RunStats()
-    counts = {q: 0 for q in spec.sizes}
-    acc = None
-    if want_v or want_e:
-        acc = LocalCounts(per_vertex=[0] * g.n if want_v else None,
-                          per_edge={} if want_e else None)
-    if g.n:
-        from functools import partial
-        worker = partial(_pivot_worker, want_v=want_v, want_e=want_e,
-                         probe=probe, debug_checks=debug_checks)
-        for pcounts, pstats, pacc in run_over_roots(worker, g, spec, prune=prune,
-                                                    threads=threads, order=order):
-            for q, c in pcounts.items():
-                counts[q] += c
-            stats.merge(pstats)
-            if acc is not None and pacc is not None:
-                acc.merge(pacc)
-            check_counter(max(counts.values(), default=0))
-    stats.wall_time = time.perf_counter() - t0
-    return PivotRun(spec, counts, stats, prune, acc)
-
-
-def count_local(g: Graph, spec: MotifSpec, granularity: str, *, prune: bool = True,
-                threads: int = 1, order: DegeneracyOrder | None = None) -> LocalCounts:
-    """Per-vertex or per-edge result counts over the spec's size range."""
-    run = count_by_pivot(g, spec, prune=prune, threads=threads, local=granularity,
-                         order=order)
-    return run.local
+    root_fn = _pivot_root
+    if probe is not None or debug_checks:
+        if threads > 1:
+            raise ValueError("probe/debug runs require threads=1")
+        root_fn = partial(_pivot_root, probe=probe, debug_checks=debug_checks)
+    return run_over_roots(root_fn, g, spec, prune=prune, threads=threads, order=order,
+                          local=local)

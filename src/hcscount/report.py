@@ -7,15 +7,14 @@ full decimal string. Profile ratios are exact rationals rendered in decimal.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from typing import Any
 
 from .graph import Graph
 from .motifs import MotifSpec
-from .pivot import PivotRun, count_by_pivot
-from .runner import RunStats
+from .pivot import count_by_pivot
+from .runner import Run, RunStats
 
 RATIO_DIGITS = 30
 
@@ -130,7 +129,7 @@ class HgpProfile:
 def hgp_profile(g: Graph, family: str, s: int, q_low: int, q_high: int, *,
                 prune: bool = True, threads: int = 1, order=None) -> HgpProfile:
     """Two range runs of the pivot engine: the family at s, and cliques (s=0)."""
-    hcs_run: PivotRun = count_by_pivot(
+    hcs_run: Run = count_by_pivot(
         g, MotifSpec(family, s, q_low, q_high).validate(), prune=prune,
         threads=threads, order=order)
     clique_run = count_by_pivot(

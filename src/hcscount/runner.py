@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +25,10 @@ class CounterOverflowError(OverflowError):
     """A counter exceeded the injected fixed-width limit."""
 
 
-def check_counter(value: int) -> int:
+def check_counter(value: int) -> None:
     if COUNTER_LIMIT is not None and value > COUNTER_LIMIT:
         raise CounterOverflowError(
             f"count {value} exceeds the configured counter limit {COUNTER_LIMIT}")
-    return value
 
 
 @dataclass
@@ -64,6 +63,58 @@ class RunStats:
         if total == 0:
             return None
         return self.comb_credits / total
+
+
+@dataclass
+class LocalCounts:
+    """Exact per-vertex and/or per-edge result counts (dense vertex ids)."""
+
+    per_vertex: list[int] | None = None
+    per_edge: dict[tuple[int, int], int] | None = None
+
+    def merge(self, other: "LocalCounts") -> None:
+        if self.per_vertex is not None and other.per_vertex is not None:
+            for i, c in enumerate(other.per_vertex):
+                self.per_vertex[i] += c
+        if self.per_edge is not None and other.per_edge is not None:
+            for k, c in other.per_edge.items():
+                self.per_edge[k] = self.per_edge.get(k, 0) + c
+
+
+@dataclass
+class Run:
+    """The result of either engine over all roots, or over one chunk of them."""
+
+    spec: MotifSpec
+    counts: dict[int, int]
+    stats: RunStats
+    pruned: bool
+    local: LocalCounts | None = None
+
+    @classmethod
+    def empty(cls, n: int, spec: MotifSpec, prune: bool, local: str | None) -> "Run":
+        """Zero counts; local is None, 'vertex', 'edge' or 'both'."""
+        acc = None
+        if local is not None:
+            acc = LocalCounts(per_vertex=[0] * n if local in ("vertex", "both") else None,
+                              per_edge={} if local in ("edge", "both") else None)
+        return cls(spec, {q: 0 for q in spec.sizes}, RunStats(), prune, acc)
+
+    def merge(self, other: "Run") -> None:
+        for q, c in other.counts.items():
+            self.counts[q] += c
+        self.stats.merge(other.stats)
+        if self.local is not None and other.local is not None:
+            self.local.merge(other.local)
+
+    def total(self, q: int) -> int:
+        return self.counts.get(q, 0)
+
+    @property
+    def count(self) -> int:
+        """The count of a single-size run."""
+        (count,) = self.counts.values()
+        return count
 
 
 class RunConfigError(ValueError):
@@ -112,29 +163,15 @@ def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,
     return build_root_neighborhood(g, root, one, two, cand_pre=pre)
 
 
-class RunConfig(NamedTuple):
-    """The fault knobs of one run, frozen when the run starts.
-
-    Pool workers may outlive the call that started them, so they are sent
-    this with every chunk instead of inheriting the knobs at fork.
-    """
-
-    bound_fault: int
-    counter_limit: int | None
-
-    @classmethod
-    def current(cls) -> "RunConfig":
-        return cls(pruning.BOUND_FAULT, COUNTER_LIMIT)
-
-    def apply(self) -> None:
-        global COUNTER_LIMIT
-        pruning.BOUND_FAULT = self.bound_fault
-        COUNTER_LIMIT = self.counter_limit
-
-
-def _run_chunk(config: RunConfig, root_worker, *args):
-    config.apply()
-    return root_worker(*args)
+def _run_chunk(bound_fault: int, root_fn, g: Graph, order: DegeneracyOrder,
+               spec: MotifSpec, prune: bool, local: str | None, roots: list[int]) -> Run:
+    """Run root_fn over roots into a fresh Run. Pool workers may outlive the
+    call that started them, so each chunk brings the run's bound fault."""
+    pruning.BOUND_FAULT = bound_fault
+    run = Run.empty(g.n, spec, prune, local)
+    for root in roots:
+        root_fn(g, order, root, spec, prune, run)
+    return run
 
 
 # One pool per process, kept across calls with the same thread count;
@@ -176,39 +213,44 @@ def _chunk_costs(g: Graph, order: DegeneracyOrder, size: int) -> list[float]:
     return np.add.reduceat(weight, np.arange(0, len(weight), size)).tolist()
 
 
-def run_over_roots(root_worker, g: Graph, spec: MotifSpec, *, prune: bool,
-                   threads: int, order: DegeneracyOrder | None = None):
-    """Map a per-root-chunk worker over all roots; yields partial results.
+def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: int,
+                   order: DegeneracyOrder | None = None, local: str | None = None) -> Run:
+    """Run root_fn(g, order, root, spec, prune, run) over every root and
+    return the merged Run, timed and checked against the counter limit.
 
-    The worker signature is worker(g, order, spec, prune, roots) -> partial.
     Roots are processed in degeneracy-rank order; with threads == 1 the call
     runs inline (canonical recursion for debugging). With threads > 1 the
     roots are cut into threads * 4 contiguous chunks, which go to the
-    process's shared pool, each with the run's RunConfig. They are submitted
-    costliest first (by _chunk_costs), so that the costliest chunk does not
-    run alone at the end of the call; partials come in submission order.
+    process's shared pool, each with the run's bound fault. They are
+    submitted costliest first (by _chunk_costs), so that the costliest chunk
+    does not run alone at the end of the call. Counts only grow, so the
+    merged counts exceed the counter limit exactly when some chunk's did.
     """
+    t0 = time.perf_counter()
     if order is None:
         order = degeneracy_order(g)
-    roots = [int(r) for r in order.order]
+    roots = order.order.tolist()
     if threads <= 1 or len(roots) < 4:
-        yield root_worker(g, order, spec, prune, roots)
-        return
-    n_chunks = threads * 4
-    size = max(1, (len(roots) + n_chunks - 1) // n_chunks)
-    costs = _chunk_costs(g, order, size)
-    config = RunConfig.current()
-    pool = _shared_pool(threads)
-    futures = []
-    try:
-        for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
-            futures.append(pool.submit(_run_chunk, config, root_worker, g, order, spec,
-                                       prune, roots[k * size:(k + 1) * size]))
-        for f in futures:
-            yield f.result()
-    except BrokenProcessPool:
-        _drop_pool()
-        raise
-    finally:
-        for f in futures:
-            f.cancel()
+        run = _run_chunk(pruning.BOUND_FAULT, root_fn, g, order, spec, prune, local, roots)
+    else:
+        run = Run.empty(g.n, spec, prune, local)
+        n_chunks = threads * 4
+        size = max(1, (len(roots) + n_chunks - 1) // n_chunks)
+        costs = _chunk_costs(g, order, size)
+        pool = _shared_pool(threads)
+        futures = []
+        try:
+            for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
+                futures.append(pool.submit(_run_chunk, pruning.BOUND_FAULT, root_fn, g, order,
+                                           spec, prune, local, roots[k * size:(k + 1) * size]))
+            for f in futures:
+                run.merge(f.result())
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+        finally:
+            for f in futures:
+                f.cancel()
+    check_counter(max(run.counts.values(), default=0))
+    run.stats.wall_time = time.perf_counter() - t0
+    return run

@@ -4,7 +4,7 @@ import pytest
 
 from hcscount import (MotifSpec, OracleInfeasibleError, brute_force_count,
                       brute_force_pivot_check, complete_graph, count_by_listing,
-                      count_by_pivot, from_edges, random_gnp, sweep)
+                      count_by_pivot, random_gnp, sweep)
 from conftest import REF7_COUNTS, reference_graph
 
 

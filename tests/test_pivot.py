@@ -6,11 +6,9 @@ import math
 import pytest
 
 from hcscount import (DcliqueState, MotifSpec, PlexState, binom, brute_force_count,
-                      brute_force_pivot_check, build_root_neighborhood,
-                      collect_candidates, complete_graph, count_by_listing,
-                      count_by_pivot, count_local, degeneracy_order, from_edges,
-                      knapsack_counts, knapsack_table, random_gnp,
-                      select_pivot_dclique, select_pivot_plex)
+                      brute_force_pivot_check, complete_graph, count_by_listing,
+                      count_by_pivot, degeneracy_order, from_edges, knapsack_counts,
+                      knapsack_table, random_gnp, select_pivot_dclique, select_pivot_plex)
 from hcscount.pivot import knapsack_remove, plex_pivot_qualifiers
 from hcscount.runner import prepare_root, RunStats
 from conftest import REF7_COUNTS, reference_graph
@@ -274,7 +272,7 @@ class TestCountByPivot:
 class TestLocalCounts:
     def test_k4_triangle_locals(self):
         g = complete_graph(4)
-        loc = count_local(g, MotifSpec.single("clique", 0, 3), "both")
+        loc = count_by_pivot(g, MotifSpec.single("clique", 0, 3), local="both").local
         assert loc.per_vertex == [3, 3, 3, 3]
         assert set(loc.per_edge.values()) == {2} and len(loc.per_edge) == 6
         assert sum(loc.per_vertex) == 3 * 4

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hcscount import (DcliqueState, MotifSpec, PlexState, build_root_neighborhood,
-                      collect_candidates, count_by_listing, count_by_pivot,
-                      degeneracy_order, from_edges, random_gnp)
+from hcscount import (DcliqueState, MotifSpec, PlexState, collect_candidates,
+                      count_by_listing, count_by_pivot, degeneracy_order, from_edges,
+                      random_gnp)
 from hcscount.pruning import reduce_candidates, upper_bound_dclique, upper_bound_plex
 
 

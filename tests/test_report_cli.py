@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hcscount import MotifSpec, complete_graph, count_by_pivot, from_edges
+from hcscount import MotifSpec, count_by_pivot, from_edges
 from hcscount.cli import main
 from hcscount.report import exact_ratio_str, hgp_profile
 from conftest import REF7_EDGES
@@ -48,6 +48,17 @@ class TestExitCodes:
                    "--s", "0", "--q", "3"])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vid", [2**63, -2**63 - 1], ids=["above", "below"])
+    def test_vertex_id_outside_int64_is_1(self, tmp_path, capsys, vid):
+        p = tmp_path / "big.txt"
+        p.write_text(f"0 1\n{2**63 - 1} {-2**63}\n1 {vid}\n")
+        rc = main(["count", "--input", str(p), "--motif", "clique",
+                   "--s", "0", "--q", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"input error: line 3: vertex id outside the int64 range in ['1', '{vid}']"]
 
     def test_bad_hcs_threads_is_2(self, ref7_file, capsys, monkeypatch):
         monkeypatch.setenv("HCS_THREADS", "abc")

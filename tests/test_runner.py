@@ -23,16 +23,17 @@ FAULT_GRAPH = (19, 0.4, 90_001)
 FAULT_SPEC = ("plex", 1, 5)
 
 
-def _exit_worker(g, order, spec, prune, roots):
+def _exit_root(g, order, root, spec, prune, run):
     os._exit(1)
 
 
-def _roots_worker(g, order, spec, prune, roots):
-    return roots
+def _skip_root(g, order, root, spec, prune, run):
+    pass
 
 
 class _InlinePool:
-    """Runs each submitted chunk at once and records the order of submission."""
+    """Runs each submitted chunk at once and records its roots in the order
+    of submission."""
 
     def __init__(self):
         self.submitted = []
@@ -49,16 +50,19 @@ def _pivot_answer(g, spec, threads):
     return run.counts, run.local.per_vertex, run.local.per_edge
 
 
-def test_counter_overflow_leaves_the_pool_usable():
+@pytest.mark.parametrize("engine", [count_by_pivot, count_by_listing],
+                         ids=["pivot", "listing"])
+def test_counter_overflow_leaves_the_pool_usable(engine):
+    """The limit is checked on the merged counts of a parallel run."""
     g = random_gnp(*FAULT_GRAPH[:2], seed=FAULT_GRAPH[2])
     spec = MotifSpec.single(*FAULT_SPEC)
     runner.COUNTER_LIMIT = 10
     try:
         with pytest.raises(CounterOverflowError):
-            count_by_pivot(g, spec, threads=2)
+            engine(g, spec, threads=2)
     finally:
         inject_fault(None)
-    assert count_by_pivot(g, spec, threads=2).counts == count_by_pivot(g, spec).counts
+    assert engine(g, spec, threads=2).counts == engine(g, spec).counts
 
 
 def test_chunks_are_submitted_costliest_first(monkeypatch):
@@ -74,9 +78,9 @@ def test_chunks_are_submitted_costliest_first(monkeypatch):
         rank = {u: i for i, u in enumerate(order)}
         pool = _InlinePool()
         monkeypatch.setattr(runner, "_shared_pool", lambda threads: pool)
-        parts = list(runner.run_over_roots(_roots_worker, g, MotifSpec.single("clique", 0, 3),
-                                           prune=True, threads=2))
-        assert parts == pool.submitted
+        runner.run_over_roots(_skip_root, g, MotifSpec.single("clique", 0, 3), prune=True,
+                              threads=2)
+        parts = pool.submitted
         chunks = sorted(parts, key=lambda part: rank[part[0]])
         assert [r for part in chunks for r in part] == order
         assert len({len(part) for part in chunks[:-1]}) == 1
@@ -91,7 +95,7 @@ def test_broken_pool_is_replaced():
     g = random_gnp(20, 0.4, seed=3)
     spec = MotifSpec.single("dclique", 1, 4)
     with pytest.raises(BrokenProcessPool):
-        list(runner.run_over_roots(_exit_worker, g, spec, prune=True, threads=2))
+        runner.run_over_roots(_exit_root, g, spec, prune=True, threads=2)
     assert runner._pool is None
     assert count_by_pivot(g, spec, threads=2).counts == count_by_pivot(g, spec).counts
 
