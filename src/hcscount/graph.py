@@ -115,10 +115,17 @@ def from_edges(pairs: Iterable[tuple[int, int]], stats: LoadStats | None = None,
     """Build a Graph from (possibly directed, duplicated, self-looped) pairs.
 
     Ids are densified; the original labels are preserved in orig_ids. Pass
-    ``vertex_universe`` to force isolated vertices into the id space.
+    ``vertex_universe`` to force isolated vertices into the id space. An id
+    outside the int64 range raises ParseError.
     """
     stats = stats or LoadStats()
-    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    pairs = list(pairs)
+    try:
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        bad = next(x for pair in pairs for x in pair
+                   if not ID_RANGE.start <= x < ID_RANGE.stop)
+        raise ParseError(f"vertex id outside the int64 range: {bad}") from None
     if arr.size == 0 and vertex_universe is None:
         stats.n = 0
         stats.m = 0

@@ -31,6 +31,7 @@ def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     push, pop = state.push, state.pop
     filter_candidates = state.filter_candidates
     bound = rules.bound if prune else None
+    keeps_counts = state.keeps_counts
 
     def rec(C: int) -> int:
         stats.nodes += 1
@@ -50,7 +51,10 @@ def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
             if bound is not None and bound(state, u, C) < q:
                 stats.bound_pruned += 1
                 continue
-            push(u, C)
+            if keeps_counts:
+                push(u, C)
+            else:
+                push(u)
             C2 = filter_candidates(C, u)
             if len(R) + C2.bit_count() >= q:
                 total += rec(C2)

@@ -4,7 +4,9 @@ Three families are supported: clique, s-defective clique (dclique: at most s
 missing edges in total) and s-plex (every member misses at most s others).
 Both search engines drive one state object per root through one interface:
 
-* ``R``: the growing set; ``push(u, keep)`` / ``pop()`` grow and shrink it;
+* ``R``: the growing set; ``push(u, keep)`` / ``pop()`` grow and shrink it
+  (a state whose ``keeps_counts`` is False, the clique's, takes ``push(u)``:
+  the bound ``R.append``, with no interpreted call);
 * ``filter_candidates(C, u)``: the candidates that still extend R after u's
   push; ``filter_pivots(D, u)``: the same for the pivot engine's set D;
 * ``leaf_weights(D)``: knapsack weights of D's members and the budget they
@@ -133,18 +135,16 @@ def iter_bits(x: int):
 class CliqueState:
     """R over a bitmask universe; every candidate is adjacent to all of R."""
 
-    __slots__ = ("adj", "R", "pop")
+    __slots__ = ("adj", "R", "push", "pop")
+    keeps_counts = False
 
     def __init__(self, adj: list[int], s: int = 0):
         """s is always 0 for cliques; it is taken so that every state is
         built the same way."""
         self.adj = adj
         self.R: list[int] = []
+        self.push = self.R.append
         self.pop = self.R.pop
-
-    def push(self, u: int, keep: int = -1) -> None:
-        """keep is taken for the common interface; a clique keeps no counts."""
-        self.R.append(u)
 
     def filter_candidates(self, C: int, u: int) -> int:
         """Members of C adjacent to u (u just pushed)."""
@@ -164,6 +164,7 @@ class DcliqueState:
     most s edges in total."""
 
     __slots__ = ("adj", "nonadj", "s", "R", "rmask", "walked", "total_missing", "A")
+    keeps_counts = True
 
     def __init__(self, adj: list[int], s: int):
         self.adj = adj
@@ -298,7 +299,7 @@ class PlexState(DcliqueState):
 
     def filter_pivots(self, D: int, u: int) -> int:
         """D unchanged: a plex pivot is admitted only when it extends every
-        leaf reachable below it (see plex_pivot_qualifiers)."""
+        leaf reachable below it (see pivot.select_pivot_plex)."""
         return D
 
     def leaf_weights(self, D: int) -> None:

@@ -16,6 +16,14 @@ member never could again. Hence:
   k-subsets of D complete R. clique and plex return None: any k of D do, a
   binomial. dclique returns its members' deficiencies: a k-subset fits when
   their sum stays within the remaining edge budget (0/1 knapsack).
+  A binomial leaf's credits depend only on (|R|, |D|, q_low, q_high), so
+  they are memoised (_binom_leaf).
+
+A branch vertex fits the family's budget with R (the filters keep only
+such vertices, and a root has 2-hop candidates only for s >= 1), so a branch
+bound is at least |R| + 1 (less the verification fault); a node whose
+|R| + 1 + |D| already reaches q_low skips the bound, and debug runs check
+that it could not prune.
 
 One traversal yields counts for all sizes in [q_low, q_high] and, on demand,
 per-vertex/per-edge local counts. These are not listed either. Every result
@@ -30,9 +38,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
+from . import pruning
 from .graph import DegeneracyOrder, Graph, RootNeighborhood
 from .motifs import CliqueState, DcliqueState, MotifSpec, PlexState, iter_bits
 from .pruning import upper_bound_dclique, upper_bound_plex
@@ -42,6 +51,20 @@ from .runner import LocalCounts, Run, prepare_root, run_over_roots
 def binom(n: int, k: int) -> int:
     """C(n, k), and 0 outside 0 <= k <= n."""
     return math.comb(n, k) if 0 <= k <= n else 0
+
+
+@lru_cache(maxsize=4096)
+def _binom_leaf(nR: int, nD: int, q_lo: int, q_hi: int) -> tuple[tuple, int, int, int]:
+    """An unweighted combinatorial leaf (any k of D complete R): the
+    (size, count) pairs it credits, their total, and how many of those
+    results hold a given member of D, and a given pair of members."""
+    k_lo = max(0, q_lo - nR)
+    k_hi = min(nD, q_hi - nR)
+    ks = range(k_lo, k_hi + 1)
+    credits = tuple((nR + k, math.comb(nD, k)) for k in ks)
+    one = sum(binom(nD - 1, k - 1) for k in ks)
+    two = sum(binom(nD - 2, k - 2) for k in ks)
+    return credits, sum(c for _, c in credits), one, two
 
 
 def knapsack_table(weights: list[int], budget: int, k_max: int) -> list[list[int]]:
@@ -137,51 +160,42 @@ def select_pivot_dclique(state: DcliqueState, C: int) -> PivotDecision:
     return PivotDecision(best, C1, C & ~C1 & ~(1 << best))
 
 
-def plex_pivot_qualifiers(state: PlexState, C: int) -> list[int]:
-    """Candidates admissible as plex pivots.
+def select_pivot_plex(state: PlexState, C: int) -> PivotDecision:
+    """Maximum-degree qualifier if any; otherwise split on the maximum-degree
+    vertex without admitting it (it stays in the branching side).
 
     u qualifies when every member it misses keeps slack: m̄(v, R + C) <= s-1
     for all v in R \\ N(u). Everything admitted below u's hold-out side then
     lies inside N(u) and is already charged against that slack, so u extends
-    every result credited from the accumulated set.
+    every result credited from the accumulated set. One sweep over C (ties to
+    the smallest id) finds both the best qualifier and the best vertex.
     """
     s = state.s
     A = state.A
     adj = state.adj
     nC = C.bit_count()
-
     heavy_r = 0
     for v in state.R:
         if A[v] + (nC - (adj[v] & C).bit_count()) > s - 1:
             heavy_r |= 1 << v
-    if heavy_r == 0:
-        return list(iter_bits(C))
-    out = []
+    best = qual = -1
+    best_deg = qual_deg = -1
     w = C
     while w:
         b = w & -w
         u = b.bit_length() - 1
         w ^= b
-        if not (heavy_r & ~adj[u]):
-            out.append(u)
-    return out
-
-
-def select_pivot_plex(state: PlexState, C: int) -> PivotDecision:
-    """Maximum-degree qualifier if any; otherwise split on the maximum-degree
-    vertex without admitting it (it stays in the branching side)."""
-    adj = state.adj
-    qual = plex_pivot_qualifiers(state, C)
-    if not qual:
-        dec = select_pivot_dclique(state, C)
-        return PivotDecision(None, dec.C1, C & ~dec.C1)
-    best, best_deg = -1, -1
-    for u in qual:
-        d = (adj[u] & C).bit_count()
+        au = adj[u]
+        d = (au & C).bit_count()
         if d > best_deg:
             best, best_deg = u, d
-    C1 = adj[best] & C
-    return PivotDecision(best, C1, C & ~C1 & ~(1 << best))
+        if d > qual_deg and not (heavy_r & ~au):
+            qual, qual_deg = u, d
+    if qual < 0:
+        C1 = adj[best] & C
+        return PivotDecision(None, C1, C & ~C1)
+    C1 = adj[qual] & C
+    return PivotDecision(qual, C1, C & ~C1 & ~(1 << qual))
 
 
 class Family(NamedTuple):
@@ -367,30 +381,33 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     leaf_weights = state.leaf_weights
     select_pivot = rules.select_pivot
     bound = rules.bound if prune else None
+    keeps_counts = state.keeps_counts
+    # read at run time: a pool worker's chunk sets it before the search
+    fault = pruning.BOUND_FAULT
 
-    def comb_leaf(D: int) -> None:
-        nR, nD = len(R), D.bit_count()
+    def comb_leaf(nR: int, D: int, nD: int) -> None:
+        weighted = leaf_weights(D)
+        if weighted is None:
+            credits, tot, one, two = _binom_leaf(nR, nD, q_lo, q_hi)
+            for size, c in credits:
+                counts[size] += c
+            stats.comb_credits += tot
+            if scratch is not None and tot:
+                scratch.credit_leaf(R, tot, [(D, one)], [[two]])
+            return
+        # rec reaches a leaf only with nR + nD >= q_lo and nR < q_hi - 1,
+        # so k_lo <= k_hi
         k_lo = max(0, q_lo - nR)
         k_hi = min(nD, q_hi - nR)
-        if k_hi < k_lo:
-            return
-        weighted = leaf_weights(D)
-        if weighted is not None:
-            weights, budget = weighted
-            dp = knapsack_table(weights, budget, k_hi)
+        weights, budget = weighted
+        dp = knapsack_table(weights, budget, k_hi)
         tot = 0
         for k in range(k_lo, k_hi + 1):
-            c = binom(nD, k) if weighted is None else sum(dp[k])
+            c = sum(dp[k])
             counts[nR + k] += c
             tot += c
         stats.comb_credits += tot
-        if scratch is None or not tot:
-            return
-        if weighted is None:
-            one = sum(binom(nD - 1, k - 1) for k in range(max(k_lo, 1), k_hi + 1))
-            two = sum(binom(nD - 2, k - 2) for k in range(max(k_lo, 2), k_hi + 1))
-            scratch.credit_leaf(R, tot, [(D, one)], [[two]])
-        else:
+        if scratch is not None and tot:
             scratch.credit_leaf(R, tot, *_weight_classes(D, weights, dp, budget,
                                                         k_lo, k_hi))
 
@@ -415,12 +432,14 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
                 scratch.credit_leaf(R, n_new + close_lo, [(xs, 1)], [[0]])
             return
         if C == 0:
-            comb_leaf(D)
+            comb_leaf(nR, D, nD)
             return
         dec = select_pivot(state, C)
         if probe is not None:
             probe(rn, R, C, dec)
         rec(dec.C1, D if dec.pivot is None else D | (1 << dec.pivot))
+        # a bound is at least nR + 1 - fault (see the module docstring)
+        may_prune = bound is not None and nR + 1 + nD - fault < q_lo
         # the pivot leaves the branching side but stays a candidate: results
         # pairing it with a branch vertex are listed inside that branch
         Crem = C
@@ -431,10 +450,16 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
             w ^= b
             Crem ^= b
             stats.branch_iters += 1
-            if bound is not None and bound(state, v, Crem) + nD < q_lo:
-                stats.bound_pruned += 1
-                continue
-            push(v, Crem | D)
+            if may_prune:
+                if bound(state, v, Crem) + nD < q_lo:
+                    stats.bound_pruned += 1
+                    continue
+            elif debug_checks and bound is not None:
+                assert bound(state, v, Crem) + nD >= q_lo, "a skipped bound would prune"
+            if keeps_counts:
+                push(v, Crem | D)
+            else:
+                push(v)
             if scratch is None:
                 rec(filter_candidates(Crem, v), filter_pivots(D, v))
             else:

@@ -47,6 +47,12 @@ class TestLoadEdgeList:
             load_edge_list(io.BytesIO(b"0 1\n4\n"))
         assert ei.value.line_no == 2
 
+    @pytest.mark.parametrize("vid", [2**63, -2**63 - 1], ids=["above", "below"])
+    def test_from_edges_rejects_ids_outside_int64(self, vid):
+        assert from_edges([(2**63 - 1, -2**63)]).n == 2
+        with pytest.raises(ParseError, match="outside the int64 range"):
+            from_edges([(0, 1), (1, vid)])
+
     def test_arcs_is_twice_edge_count(self):
         g = load_edge_list(io.BytesIO(b"0 1\n1 2\n"))
         assert g.stats.arcs == 2 * g.m == 4

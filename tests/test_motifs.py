@@ -138,6 +138,14 @@ class TestDcliqueState:
 
 
 class TestCliqueState:
+    def test_push_is_the_bound_append(self):
+        # a clique keeps no counts: engines push u alone, with no Python frame
+        state = CliqueState([0, 0])
+        assert not state.keeps_counts and DcliqueState.keeps_counts
+        assert state.push.__self__ is state.R and state.pop.__self__ is state.R
+        state.push(1)
+        assert state.R == [1]
+
     def test_filters_match_definitional_oracle(self):
         spec = MotifSpec("clique", 0, 2, 12)
         for seed in range(10):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -9,7 +10,9 @@ from hcscount import (DcliqueState, MotifSpec, PlexState, binom, brute_force_cou
                       brute_force_pivot_check, complete_graph, count_by_listing,
                       count_by_pivot, degeneracy_order, from_edges, knapsack_counts,
                       knapsack_table, random_gnp, select_pivot_dclique, select_pivot_plex)
-from hcscount.pivot import knapsack_remove, plex_pivot_qualifiers
+import hcscount.pruning as pruning
+from hcscount.motifs import iter_bits
+from hcscount.pivot import FAMILY_RULES, PivotDecision, _binom_leaf, knapsack_remove
 from hcscount.runner import prepare_root, RunStats
 from conftest import REF7_COUNTS, reference_graph
 
@@ -24,6 +27,29 @@ def root_state(g, family, s, root=None, prune=False):
     state = (DcliqueState if family == "dclique" else PlexState)(rn.adj, s)
     state.push(rn.root_local)
     return rn, state
+
+
+def plex_pivot_qualifiers(state, C):
+    """Reference rule: u qualifies when every member of R that u misses keeps
+    slack, m̄(v, R + C) <= s - 1."""
+    A, adj = state.A, state.adj
+    heavy = [v for v in state.R
+             if A[v] + C.bit_count() - (adj[v] & C).bit_count() > state.s - 1]
+    return [u for u in iter_bits(C) if all(adj[u] >> v & 1 for v in heavy)]
+
+
+def two_pass_plex_pivot(state, C):
+    """Reference selection: the maximum-degree qualifier, else a split on the
+    maximum-degree vertex that admits nothing (ties to the smallest id)."""
+    def degree(u):
+        return (state.adj[u] & C).bit_count()
+
+    qual = plex_pivot_qualifiers(state, C)
+    u = max(qual or iter_bits(C), key=degree)  # max keeps the first maximum
+    C1 = state.adj[u] & C
+    if qual:
+        return PivotDecision(u, C1, C & ~C1 & ~(1 << u))
+    return PivotDecision(None, C1, C & ~C1)
 
 
 # (seed, family, s, q, prune) -> ((nodes, branch_iters, bound_pruned) of the
@@ -156,6 +182,24 @@ class TestSelectPivotPlex:
         assert dec.pivot is None
         assert dec.C1 == 0b100 and dec.C2 == 0b010  # C1 = N(1) & C, 1 stays in C2
 
+    def test_one_pass_equals_two_pass_on_random_states(self):
+        rng = random.Random(2024)
+        admitted = unadmitted = 0
+        for trial in range(400):
+            n = rng.randint(2, 14)
+            g = random_gnp(n, rng.choice((0.3, 0.5, 0.7)), seed=9000 + trial)
+            state = PlexState(g.adjacency_masks(), rng.randint(0, 3))
+            for u in rng.sample(range(g.n), rng.randint(0, g.n - 1)):
+                if state.admits(u):
+                    state.push(u)
+            rest = [v for v in range(g.n) if v not in state.R]
+            C = sum(1 << v for v in rest if rng.random() < 0.7) or 1 << rest[0]
+            want = two_pass_plex_pivot(state, C)
+            assert select_pivot_plex(state, C) == want, (trial, state.R, C)
+            admitted += want.pivot is not None
+            unadmitted += want.pivot is None
+        assert admitted > 50 and unadmitted > 50
+
     def test_definitional_certification_on_sampled_nodes(self):
         samples = []
 
@@ -231,6 +275,29 @@ class TestCountByPivot:
                          MotifSpec("plex", 2, 5, 8), MotifSpec("clique", 0, 3, 6)):
                 run = count_by_pivot(g, spec, debug_checks=True)
                 assert run.counts == count_by_pivot(g, spec).counts
+
+    @pytest.mark.parametrize("fault", [0, 1])
+    def test_debug_checks_guard_skipped_bounds(self, monkeypatch, fault):
+        # a branch bound is skipped where it cannot prune; debug runs still
+        # evaluate it there, and must not change the search
+        monkeypatch.setattr(pruning, "BOUND_FAULT", fault)
+        for seed in range(5):
+            g = random_gnp(15, 0.55, seed=2500 + seed)
+            for spec in (MotifSpec.single("dclique", 2, 5), MotifSpec.single("plex", 1, 4),
+                         MotifSpec("plex", 2, 5, 8)):
+                a = count_by_pivot(g, spec, debug_checks=True)
+                b = count_by_pivot(g, spec)
+                assert (a.counts, a.stats.nodes, a.stats.bound_pruned) == \
+                    (b.counts, b.stats.nodes, b.stats.bound_pruned), (seed, spec)
+
+    def test_debug_checks_catch_a_bound_below_its_floor(self, monkeypatch):
+        rules = FAMILY_RULES["plex"]
+        monkeypatch.setitem(FAMILY_RULES, "plex",
+                            rules._replace(bound=lambda *a: rules.bound(*a) - 9))
+        g = random_gnp(15, 0.55, seed=2500)
+        spec = MotifSpec.single("plex", 1, 4)
+        with pytest.raises(AssertionError, match="skipped bound"):
+            count_by_pivot(g, spec, debug_checks=True)
 
     @pytest.mark.parametrize("seed,n,p", [(11, 24, 0.5), (12, 30, 0.35), (13, 20, 0.65)])
     def test_search_tree_stats_pinned(self, seed, n, p):
@@ -378,6 +445,34 @@ class TestLocalCounts:
             got = count_by_pivot(g, spec, local="both").local
             assert got.per_vertex == loc.per_vertex
             assert got.per_edge == loc.per_edge
+
+
+class TestBinomialLeafMemo:
+    def test_credits_equal_direct_binomial_sums(self):
+        for nR in range(0, 6):
+            for nD in range(0, 25):
+                for q_lo in range(1, 10):
+                    for q_hi in range(q_lo, 12):
+                        ks = [k for k in range(nD + 1) if q_lo <= nR + k <= q_hi]
+                        want = (tuple((nR + k, binom(nD, k)) for k in ks),
+                                sum(binom(nD, k) for k in ks),
+                                sum(binom(nD - 1, k - 1) for k in ks),
+                                sum(binom(nD - 2, k - 2) for k in ks))
+                        assert _binom_leaf(nR, nD, q_lo, q_hi) == want, (nR, nD, q_lo, q_hi)
+        assert _binom_leaf.cache_info().maxsize is not None
+
+    def test_member_and_pair_credits_against_enumeration(self):
+        # one/two: the results holding member 0, and members 0 and 1
+        for nR in range(0, 4):
+            for nD in range(0, 8):
+                for q_lo, q_hi in ((1, 3), (2, 6), (4, 4), (3, 9)):
+                    subsets = [H for k in range(nD + 1)
+                               for H in itertools.combinations(range(nD), k)
+                               if q_lo <= nR + k <= q_hi]
+                    _, tot, one, two = _binom_leaf(nR, nD, q_lo, q_hi)
+                    assert tot == len(subsets)
+                    assert one == sum(0 in H for H in subsets)
+                    assert two == sum({0, 1} <= set(H) for H in subsets)
 
 
 class TestBinomialTable:
