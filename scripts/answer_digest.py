@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print two sha256 lines over every answer and search statistic of a fixed matrix.
+"""Print three sha256 lines over the answers and search statistics of a fixed matrix.
 
 Usage: PYTHONPATH=src python3 scripts/answer_digest.py
 
@@ -10,10 +10,13 @@ adds its counts, sorted per-vertex and per-edge locals and every integer
 RunStats field (so not wall_time) to the first digest. The second digest
 covers the eight small graphs (gate and G(n, p)) only: both engines again
 with threads=2, which goes through the process pool and the merge of its
-chunks, and the sorted result sets of enumerate_by_listing. Two checkouts
-that give the same answers and search the same trees on this matrix print
-the same lines: run the script in both and compare. It takes two to three
-minutes on two cores.
+chunks, and the sorted result sets of enumerate_by_listing. The third
+digest covers the rows of both without their RunStats: counts, locals and
+result sets only. Two checkouts that give the same answers and search the
+same trees on this matrix print the same lines: run the script in both and
+compare. A change to the search tree alone (a pivot rule, a bound) moves the
+first two lines and leaves the third. It takes two to three minutes on two
+cores.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def engine_rows(name, g, spec, prune, threads) -> list[tuple]:
 
 
 def main() -> int:
-    digests = {"runs": hashlib.sha256(), "extended runs": hashlib.sha256()}
+    digests = {key: hashlib.sha256() for key in ("runs", "extended runs", "answers")}
     runs = dict.fromkeys(digests, 0)
     with tempfile.TemporaryDirectory() as tmp:
         for name, g in graphs(Path(tmp)):
@@ -92,6 +95,10 @@ def main() -> int:
                         for row in part:
                             digests[key].update(repr(row).encode())
                             runs[key] += 1
+                            # every row but an enumeration ends with its stats
+                            answer = row if row[0] == "enumerate" else row[:-1]
+                            digests["answers"].update(repr(answer).encode())
+                            runs["answers"] += 1
     for key, digest in digests.items():
         print(f"{runs[key]} {key} sha256={digest.hexdigest()}")
     return 0

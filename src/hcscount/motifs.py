@@ -182,7 +182,8 @@ class DcliqueState:
         return self.total_missing + self.A[u] <= self.s
 
     def push(self, u: int, keep: int = -1) -> None:
-        assert self.admits(u), "push would exceed the family's budget"
+        """Add u to R; the caller has checked admits(u) (the engines push
+        only vertices that passed the family filter)."""
         A = self.A
         self.total_missing += A[u]
         w = self.nonadj[u] & (keep | self.rmask)
@@ -298,8 +299,11 @@ class PlexState(DcliqueState):
         return out
 
     def filter_pivots(self, D: int, u: int) -> int:
-        """D unchanged: a plex pivot is admitted only when it extends every
-        leaf reachable below it (see pivot.select_pivot_plex)."""
+        """D unchanged: a plex pivot is admitted only when every member of R
+        that misses it has room for it and for its own misses in the pivot's
+        hold-out side, which holds everything that joins R or D below; so
+        each member of D completes every result credited below its admission
+        (see pivot.select_pivot_plex)."""
         return D
 
     def leaf_weights(self, D: int) -> None:

@@ -4,6 +4,10 @@ combinatorially from an accumulated pivot set D.
 Every node splits its candidates into a hold-out side C1 = N(u_p) ∩ C and a
 branching side C2. An admitted pivot joins D instead of being branched on;
 at leaves, subsets of D complete the current set R without being listed.
+clique and dclique always admit u_p. plex admits it only when every member
+of R that misses it has room for it and for its own misses in C1, since only
+u_p and members of C1 join R or D below its hold-out call
+(select_pivot_plex); otherwise the node splits on u_p without admitting it.
 
 One recursion serves every family through its state object (motifs.py) and
 the FAMILY_RULES entry (state, pivot rule, branch bound). Invariant: D is a
@@ -164,11 +168,24 @@ def select_pivot_plex(state: PlexState, C: int) -> PivotDecision:
     """Maximum-degree qualifier if any; otherwise split on the maximum-degree
     vertex without admitting it (it stays in the branching side).
 
-    u qualifies when every member it misses keeps slack: m̄(v, R + C) <= s-1
-    for all v in R \\ N(u). Everything admitted below u's hold-out side then
-    lies inside N(u) and is already charged against that slack, so u extends
-    every result credited from the accumulated set. One sweep over C (ties to
-    the smallest id) finds both the best qualifier and the best vertex.
+    u qualifies when every member v of R that it misses keeps room for u and
+    for everything v misses in u's hold-out side C1 = N(u) ∩ C:
+    m̄(v, R) + 1 + |C1 \\ N(v)| <= s for all v in R \\ N(u). Below u's
+    hold-out call only u and members of C1 join R or D, so no result credited
+    there gives v more than s non-neighbors. A member of D that v misses
+    needs no charge here: the first such d was admitted with v in R, and its
+    own check charged v for d and for all of d's hold-out side, which holds
+    u, C1 and everything pushed or admitted since. A member of D admitted
+    before v joined R held v in its hold-out side, so v sees it. A member d
+    of D sees all of D (a clique) and everything pushed after it (its
+    hold-out side), so it misses only its m̄(d, R) at admission, which the
+    candidate filter kept within s.
+
+    A member v with m̄(v, R + C) <= s passes for every u it misses, since u
+    lies in C \\ N(v) but not in C1; only the other, heavy members are
+    checked against C1, and only for a u whose degree beats the best
+    qualifier so far. One sweep over C (ties to the smallest id) finds both
+    the best qualifier and the best vertex.
     """
     s = state.s
     A = state.A
@@ -176,7 +193,7 @@ def select_pivot_plex(state: PlexState, C: int) -> PivotDecision:
     nC = C.bit_count()
     heavy_r = 0
     for v in state.R:
-        if A[v] + (nC - (adj[v] & C).bit_count()) > s - 1:
+        if A[v] + (nC - (adj[v] & C).bit_count()) > s:
             heavy_r |= 1 << v
     best = qual = -1
     best_deg = qual_deg = -1
@@ -189,8 +206,18 @@ def select_pivot_plex(state: PlexState, C: int) -> PivotDecision:
         d = (au & C).bit_count()
         if d > best_deg:
             best, best_deg = u, d
-        if d > qual_deg and not (heavy_r & ~au):
-            qual, qual_deg = u, d
+        if d > qual_deg:
+            h = heavy_r & ~au
+            if h:
+                C1 = au & C
+                while h:
+                    hb = h & -h
+                    v = hb.bit_length() - 1
+                    if A[v] + (C1 & ~adj[v]).bit_count() >= s:
+                        break
+                    h ^= hb
+            if not h:
+                qual, qual_deg = u, d
     if qual < 0:
         C1 = adj[best] & C
         return PivotDecision(None, C1, C & ~C1)
@@ -457,6 +484,8 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
             elif debug_checks and bound is not None:
                 assert bound(state, v, Crem) + nD >= q_lo, "a skipped bound would prune"
             if keeps_counts:
+                if debug_checks:
+                    assert state.admits(v), "push would exceed the family's budget"
                 push(v, Crem | D)
             else:
                 push(v)

@@ -264,8 +264,9 @@ def test_live_updates_match_recompute_and_pops_restore(cls, g, rnd):
 @given(graphs, st.integers(0, 3), st.randoms())
 @settings(max_examples=80, deadline=None)
 def test_push_accepted_exactly_when_result_stays_hcs(cls, g, s, rnd):
-    # the push's own budget check against the definition: R + [u] must be an
-    # s-dclique / s-plex; a refused push leaves the state untouched
+    # the family's budget check against the definition: admits(u) holds
+    # exactly when R + [u] is an s-dclique / s-plex, and asking leaves the
+    # state untouched; only admitted vertices are pushed
     n, edges = g
     graph = from_edges(sorted(edges), vertex_universe=list(range(n)))
     spec = MotifSpec("dclique" if cls is DcliqueState else "plex", s, 1, n)
@@ -273,13 +274,12 @@ def test_push_accepted_exactly_when_result_stays_hcs(cls, g, s, rnd):
     order = list(range(n))
     rnd.shuffle(order)
     for u in order:
-        if is_hcs(spec, graph, state.R + [u]):
+        before = (list(state.R), state.rmask, state.total_missing, list(state.A))
+        ok = state.admits(u)
+        assert (state.R, state.rmask, state.total_missing, state.A) == before
+        assert ok == is_hcs(spec, graph, state.R + [u]), (state.R, u)
+        if ok:
             state.push(u)
-        else:
-            before = (list(state.R), state.total_missing, list(state.A))
-            with pytest.raises(AssertionError):
-                state.push(u)
-            assert (state.R, state.total_missing, state.A) == before
     assert is_hcs(spec, graph, state.R)
 
 

@@ -30,12 +30,25 @@ def root_state(g, family, s, root=None, prune=False):
 
 
 def plex_pivot_qualifiers(state, C):
-    """Reference rule: u qualifies when every member of R that u misses keeps
-    slack, m̄(v, R + C) <= s - 1."""
-    A, adj = state.A, state.adj
-    heavy = [v for v in state.R
-             if A[v] + C.bit_count() - (adj[v] & C).bit_count() > state.s - 1]
-    return [u for u in iter_bits(C) if all(adj[u] >> v & 1 for v in heavy)]
+    """Reference rule: u qualifies when every member v of R that u misses
+    keeps room for u and for its own non-neighbors in u's hold-out side
+    C1 = N(u) ∩ C: m̄(v, R) + 1 + |C1 \\ N(v)| <= s."""
+    A, adj, s = state.A, state.adj, state.s
+
+    def qualifies(u):
+        C1 = adj[u] & C
+        return all(A[v] + 1 + (C1 & ~adj[v]).bit_count() <= s
+                   for v in state.R if not adj[u] >> v & 1)
+
+    return [u for u in iter_bits(C) if qualifies(u)]
+
+
+def slack_rule_admits(adj, R, C, u, s):
+    """The stricter rule the hold-out charge replaced: every member v of R
+    that u misses keeps slack against all of C, m̄(v, R + C) <= s - 1."""
+    rmask = sum(1 << r for r in R)
+    return all((rmask & ~adj[v] & ~(1 << v)).bit_count() + (C & ~adj[v]).bit_count() <= s - 1
+               for v in R if not adj[u] >> v & 1)
 
 
 def two_pass_plex_pivot(state, C):
@@ -59,26 +72,26 @@ SEARCH_STATS = {
     (11, 'dclique', 1, 5, False): ((1350, 648, 0), (992, 2490, 0)),
     (11, 'dclique', 2, 6, True): ((3110, 1585, 211), (2056, 6916, 4719)),
     (11, 'dclique', 2, 6, False): ((3635, 1771, 0), (2272, 7873, 0)),
-    (11, 'plex', 1, 5, True): ((2474, 1514, 99), (1744, 3081, 1048)),
-    (11, 'plex', 1, 5, False): ((2606, 1537, 0), (1764, 3150, 0)),
-    (11, 'plex', 2, 6, True): ((17605, 11929, 1325), (10849, 19643, 6299)),
-    (11, 'plex', 2, 6, False): ((19161, 12093, 0), (10981, 20183, 0)),
+    (11, 'plex', 1, 5, True): ((1832, 957, 51), (1744, 3081, 1048)),
+    (11, 'plex', 1, 5, False): ((1913, 977, 0), (1764, 3150, 0)),
+    (11, 'plex', 2, 6, True): ((12749, 6964, 297), (10849, 19643, 6299)),
+    (11, 'plex', 2, 6, False): ((13215, 7088, 0), (10981, 20183, 0)),
     (12, 'dclique', 1, 5, True): ((724, 395, 117), (482, 1376, 896)),
     (12, 'dclique', 1, 5, False): ((1382, 763, 0), (564, 1974, 0)),
     (12, 'dclique', 2, 6, True): ((1666, 981, 299), (740, 3104, 2268)),
     (12, 'dclique', 2, 6, False): ((4308, 2413, 0), (1203, 6214, 0)),
-    (12, 'plex', 1, 5, True): ((1571, 1032, 166), (926, 2026, 921)),
-    (12, 'plex', 1, 5, False): ((2184, 1370, 0), (1019, 2491, 0)),
-    (12, 'plex', 2, 6, True): ((15621, 12595, 3412), (6886, 18702, 8046)),
-    (12, 'plex', 2, 6, False): ((21235, 14209, 0), (7345, 21088, 0)),
+    (12, 'plex', 1, 5, True): ((1248, 690, 90), (926, 2026, 921)),
+    (12, 'plex', 1, 5, False): ((1722, 979, 0), (1019, 2491, 0)),
+    (12, 'plex', 2, 6, True): ((13130, 8980, 1826), (6886, 18702, 8046)),
+    (12, 'plex', 2, 6, False): ((17001, 10516, 0), (7345, 21088, 0)),
     (13, 'dclique', 1, 5, True): ((963, 400, 30), (1187, 2139, 933)),
     (13, 'dclique', 1, 5, False): ((993, 400, 0), (1200, 2171, 0)),
     (13, 'dclique', 2, 6, True): ((2370, 1013, 68), (2630, 6087, 3294)),
     (13, 'dclique', 2, 6, False): ((2438, 1013, 0), (2747, 6421, 0)),
-    (13, 'plex', 1, 5, True): ((1692, 913, 2), (1587, 2478, 803)),
-    (13, 'plex', 1, 5, False): ((1699, 916, 0), (1591, 2488, 0)),
-    (13, 'plex', 2, 6, True): ((9604, 5522, 114), (7736, 12412, 4044)),
-    (13, 'plex', 2, 6, False): ((9718, 5522, 0), (7741, 12426, 0)),
+    (13, 'plex', 1, 5, True): ((1224, 532, 2), (1587, 2478, 803)),
+    (13, 'plex', 1, 5, False): ((1230, 534, 0), (1591, 2488, 0)),
+    (13, 'plex', 2, 6, True): ((6243, 2845, 10), (7736, 12412, 4044)),
+    (13, 'plex', 2, 6, False): ((6253, 2845, 0), (7741, 12426, 0)),
 }
 
 
@@ -156,10 +169,12 @@ class TestSelectPivotPlex:
 
     def test_reference_root_qualifiers(self):
         # implemented rule: a candidate qualifies iff every member it misses
-        # keeps slack in R+C; at the root the only member is vertex 0, already
-        # missing 3 and 4, so exactly its neighbors {1,2,5,6} qualify. Vertex 2
-        # is the maximum-degree qualifier (ties to smaller id), certified as a
-        # true pivot by the definitional check below.
+        # has room for it and for that member's misses in the candidate's
+        # hold-out side; at the root the only member is vertex 0, which misses
+        # 3 and 4, and each of 3 and 4 holds out the other, so exactly 0's
+        # neighbors {1,2,5,6} qualify. Vertex 2 is the maximum-degree
+        # qualifier (ties to smaller id), certified as a true pivot by the
+        # definitional check below.
         g = reference_graph()
         rn, state = root_state(g, "plex", 1)
         glob = [int(v) for v in rn.verts]
@@ -182,6 +197,22 @@ class TestSelectPivotPlex:
         assert dec.pivot is None
         assert dec.C1 == 0b100 and dec.C2 == 0b010  # C1 = N(1) & C, 1 stays in C2
 
+    def test_miss_in_the_branching_side_is_not_charged(self):
+        # member 0 misses candidate 1 and, besides it, only candidate 2; 2 is
+        # not a neighbor of 1, so it lies in 1's branching side and never
+        # joins a result credited below 1's hold-out call. 1 qualifies,
+        # although 0 has no slack against all of C (the stricter rule
+        # admitted nothing here)
+        g = from_edges([(0, 3), (1, 3), (2, 3)])
+        state = PlexState(g.adjacency_masks(), 1)
+        state.push(0)
+        C = 0b110  # candidates {1, 2}
+        assert not any(slack_rule_admits(state.adj, state.R, C, u, 1) for u in (1, 2))
+        assert plex_pivot_qualifiers(state, C) == [1, 2]
+        dec = select_pivot_plex(state, C)
+        assert dec == PivotDecision(1, 0, 0b100)
+        assert brute_force_pivot_check(g, MotifSpec.single("plex", 1, 3), [0], [], 1)
+
     def test_one_pass_equals_two_pass_on_random_states(self):
         rng = random.Random(2024)
         admitted = unadmitted = 0
@@ -196,31 +227,42 @@ class TestSelectPivotPlex:
             C = sum(1 << v for v in rest if rng.random() < 0.7) or 1 << rest[0]
             want = two_pass_plex_pivot(state, C)
             assert select_pivot_plex(state, C) == want, (trial, state.R, C)
+            # every candidate the slack rule admitted still qualifies
+            qual = plex_pivot_qualifiers(state, C)
+            assert all(u in qual for u in iter_bits(C)
+                       if slack_rule_admits(state.adj, state.R, C, u, state.s)), trial
             admitted += want.pivot is not None
             unadmitted += want.pivot is None
         assert admitted > 50 and unadmitted > 50
 
     def test_definitional_certification_on_sampled_nodes(self):
-        samples = []
+        # every admitted plex pivot with |C1| <= 16, and the first 25 clique
+        # pivots of each graph
+        samples = {}
 
         def probe(rn, R, C, dec):
-            if dec.pivot is not None and len(samples) < 60:
+            if dec.pivot is not None and dec.C1.bit_count() <= 16:
                 glob = [int(v) for v in rn.verts] + [int(rn.root)]
-                samples.append((
-                    [glob[r] for r in R],
-                    [glob[i] for i in range(len(glob) - 1) if (dec.C1 >> i) & 1],
-                    glob[dec.pivot]))
+                key = (tuple(glob[r] for r in R), tuple(glob[i] for i in iter_bits(dec.C1)),
+                       glob[dec.pivot])
+                samples.setdefault(key, slack_rule_admits(rn.adj, R, C, dec.pivot, spec.s))
 
+        checked = beyond_slack = 0
         for seed in range(4):
             g = random_gnp(13, 0.5, seed=300 + seed)
-            for fam, s in (("plex", 1), ("plex", 2), ("clique", 0)):
+            specs = [MotifSpec.single("plex", s, q) for s in (1, 2, 3)
+                     for q in range(2 * s + 1, 2 * s + 5)]
+            for spec in specs + [MotifSpec.single("clique", 0, 3)]:
                 samples.clear()
-                spec = MotifSpec.single(fam, s, max(3, 2 * s + 1))
                 count_by_pivot(g, spec, probe=probe)
-                for R, C1, u in samples[:25]:
-                    if len(C1) > 16:
-                        continue
-                    assert brute_force_pivot_check(g, spec, R, C1, u), (seed, fam, s, R, C1, u)
+                keys = list(samples)
+                for R, C1, u in keys if spec.family == "plex" else keys[:25]:
+                    assert brute_force_pivot_check(g, spec, list(R), list(C1), u), \
+                        (seed, spec, R, C1, u)
+                    checked += 1
+                    beyond_slack += not samples[R, C1, u]
+        # the hold-out charge admits pivots that the slack rule refused
+        assert checked > 2000 and beyond_slack > 1000, (checked, beyond_slack)
 
     def test_reference_pivot_check_examples(self):
         g = reference_graph()
@@ -298,6 +340,22 @@ class TestCountByPivot:
         spec = MotifSpec.single("plex", 1, 4)
         with pytest.raises(AssertionError, match="skipped bound"):
             count_by_pivot(g, spec, debug_checks=True)
+
+    def test_debug_checks_catch_a_push_over_budget(self, monkeypatch):
+        # a filter that lets every candidate through: debug runs refuse the
+        # first push past the budget (unpruned, so no bound check trips first)
+        class Unfiltered(DcliqueState):
+            __slots__ = ()
+
+            def filter_candidates(self, C, u=None):
+                return C
+
+        monkeypatch.setitem(FAMILY_RULES, "dclique",
+                            FAMILY_RULES["dclique"]._replace(state=Unfiltered))
+        g = random_gnp(15, 0.55, seed=2500)
+        with pytest.raises(AssertionError, match="exceed the family's budget"):
+            count_by_pivot(g, MotifSpec.single("dclique", 1, 4), prune=False,
+                           debug_checks=True)
 
     @pytest.mark.parametrize("seed,n,p", [(11, 24, 0.5), (12, 30, 0.35), (13, 20, 0.65)])
     def test_search_tree_stats_pinned(self, seed, n, p):
