@@ -8,6 +8,7 @@ reports and exports can speak the caller's id space.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -206,18 +207,59 @@ def load_edge_list(source: str | Path | IO) -> Graph:
 
 @dataclass
 class DegeneracyOrder:
-    """Peeling order: position i holds the vertex of minimum degree in the rest."""
+    """Peeling order: position i holds the vertex of minimum degree in the rest.
+
+    ``order`` lists the roots that runs over this order visit; ``rank`` covers
+    every vertex of the graph. A sub-order holds a slice of a full order's
+    roots with the full ``rank``.
+
+    It also memoises each root's 2-hop ball size (``ball_sizes``) on first
+    need. The memo stays in the pickled state, so pool workers receive it
+    and never rebuild it; ``rank_list`` does not, and each worker rebuilds it.
+    """
 
     order: np.ndarray
     rank: np.ndarray
     degeneracy: int
     core_numbers: np.ndarray
+    _ball_sizes: list[int] | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     @cached_property
     def rank_list(self) -> list[int]:
         """``rank`` as Python ints, built on first use; per-root preparation
         reads it one vertex at a time."""
         return self.rank.tolist()
+
+    def ball_sizes(self, g: Graph) -> list[int]:
+        """Per vertex, the number of distinct higher-rank vertices within
+        distance 2 of it (0 for a vertex that is not a root of this order).
+
+        This is a root's raw candidate count for s >= 1, and over all roots of
+        a full order it sums to the number of vertex pairs within distance 2.
+        The first call fills the memo in one pass over the roots: each
+        neighbor list is sorted by rank, so a root takes from each list
+        (its own and its neighbors') only the part above its rank, found by
+        bisection, and counts the union of those parts.
+        """
+        if self._ball_sizes is None:
+            rank = self.rank_list
+            src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+            keys = np.sort(src * g.n + self.rank[g.indices])
+            by_rank = (keys - src * g.n).tolist()
+            bounds = g.indptr.tolist()
+            ranks = [by_rank[bounds[u]:bounds[u + 1]] for u in range(g.n)]
+            sizes = [0] * len(rank)
+            adj = g.nbrs
+            for root in self.order.tolist():
+                r = rank[root]
+                own = ranks[root]
+                ball = set(own[bisect_right(own, r):])
+                for nb in map(ranks.__getitem__, adj[root]):
+                    ball.update(nb[bisect_right(nb, r):])
+                sizes[root] = len(ball)
+            self._ball_sizes = sizes
+        return self._ball_sizes
 
     def __getstate__(self) -> dict:
         # like Graph.nbrs: pool workers rebuild the list themselves
@@ -299,6 +341,10 @@ def collect_candidates(g: Graph, order: DegeneracyOrder, root: int,
 
     A 2-hop candidate is any higher-rank non-neighbor sharing at least one
     common neighbor with the root (the middle vertex may have any rank).
+    Together they are the root's higher-rank 2-hop ball. Runs with pruning
+    off search all of it; runs with pruning on never build it (see
+    runner.prepare_root), and this followed by pruning.reduce_candidates is
+    their reference.
     """
     rank = order.rank_list
     r = rank[root]

@@ -40,21 +40,30 @@ def _induced_core(g: Graph, one: Sequence[int], k: int) -> list[int]:
     return [u for u in one if u in alive]
 
 
-def reduce_candidates(g: Graph, one: Sequence[int], two: Sequence[int],
-                      family: str, q: int, s: int) -> tuple[list[int], list[int]]:
-    """Shrink a root's candidate sets for a target size q (q_low on ranges).
+def thresholds(family: str, q: int, s: int) -> tuple[int, int]:
+    """(core_k, need) of the reduction for a target size q (q_low on ranges).
 
-    1-hop candidates are peeled to a core of their induced subgraph: every
-    1-hop member of a size-q result shares q-s-2 (dclique) or q-2s-2 (plex)
-    common neighbors with the root. The plex threshold is weaker because up
-    to s fellow members may sit outside the root's neighborhood entirely.
-    2-hop candidates then need q-s-1 (dclique) or q-2s (plex) neighbors in
-    the surviving core, so none survives a core smaller than that. Takes any
-    ascending int sequences and returns lists that keep their order.
+    Every 1-hop member of a size-q result shares core_k = q-s-2 (dclique) or
+    q-2s-2 (plex) common neighbors with the root, so 1-hop candidates are
+    peeled to the core_k-core of their induced subgraph. The plex threshold
+    is weaker because up to s fellow members may sit outside the root's
+    neighborhood entirely. 2-hop candidates then need need = q-s-1 (dclique)
+    or q-2s (plex) neighbors in the surviving core, so none survives a core
+    smaller than that. Cliques have no 2-hop candidates.
     """
     core_k = (q - s - 2) if family != "plex" else (q - 2 * s - 2)
-    one = _induced_core(g, one, core_k) if core_k > 0 else list(one)
     need = (q - s - 1) if family == "dclique" else (q - 2 * s)
+    return core_k, need
+
+
+def reduce_candidates(g: Graph, one: Sequence[int], two: Sequence[int],
+                      family: str, q: int, s: int) -> tuple[list[int], list[int]]:
+    """Shrink a root's candidate sets for a target size q (q_low on ranges),
+    by the thresholds above. Takes any ascending int sequences and returns
+    lists that keep their order.
+    """
+    core_k, need = thresholds(family, q, s)
+    one = _induced_core(g, one, core_k) if core_k > 0 else list(one)
     if family == "clique" or len(one) < need:
         return one, []
     if need <= 0:

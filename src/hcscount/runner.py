@@ -14,7 +14,7 @@ from . import pruning
 from .graph import (DegeneracyOrder, Graph, RootNeighborhood,
                     build_root_neighborhood, collect_candidates, degeneracy_order)
 from .motifs import MotifSpec
-from .pruning import reduce_candidates
+from .pruning import _induced_core
 
 # Fault-injection knob: when set, any counter exceeding this value raises.
 # Simulates a fixed-width accumulator; normal runs use unbounded integers.
@@ -33,6 +33,16 @@ def check_counter(value: int) -> None:
 
 @dataclass
 class RunStats:
+    """Search statistics, summed over roots.
+
+    cand_pre is the raw candidate count before reduction: the roots'
+    higher-rank neighbors for s = 0, their higher-rank 2-hop balls for
+    s >= 1. Each edge, or each pair of vertices within distance 2, is counted
+    once, at its lower-rank end, so over all roots cand_pre is m or the
+    number of such pairs, whatever the order. cand_now counts the candidates
+    left after reduction (all of them with pruning off).
+    """
+
     nodes: int = 0
     branch_iters: int = 0
     bound_pruned: int = 0
@@ -150,17 +160,54 @@ def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,
     the weakest target in the range. A root whose candidates cannot reach
     q_low (1 + |candidates| < q_low) gets no universe: it returns None, and
     only its candidate counts go into stats.
+
+    With pruning off the universe is the root's whole higher-rank 2-hop ball
+    (collect_candidates). With pruning on it is built from the reduced core
+    (_reduce_from_core) and gives the same sets as collect_candidates then
+    reduce_candidates, without building the ball.
     """
-    two_hop = spec.s >= 1
-    one, two = collect_candidates(g, order, root, two_hop)
-    pre = len(one) + len(two)
     if prune:
-        one, two = reduce_candidates(g, one, two, spec.family, spec.q_low, spec.s)
+        one, two, pre = _reduce_from_core(g, order, root, spec)
+    else:
+        one, two = collect_candidates(g, order, root, spec.s >= 1)
+        pre = len(one) + len(two)
     stats.cand_pre += pre
     stats.cand_now += len(one) + len(two)
     if 1 + len(one) + len(two) < spec.q_low:
         return None
     return build_root_neighborhood(g, root, one, two, cand_pre=pre)
+
+
+def _reduce_from_core(g: Graph, order: DegeneracyOrder, root: int,
+                      spec: MotifSpec) -> tuple[list[int], list[int], int]:
+    """A root's reduced (one, two) and its raw candidate count.
+
+    The higher-rank neighbors are peeled to the core. Each 2-hop survivor
+    needs `need` neighbors in that core, at least one on every valid spec,
+    so it lies on some core member's neighbor list: counting, over those
+    lists, the hits on each higher-rank non-neighbor of the root finds every
+    survivor. The raw count for s >= 1 is the root's ball size, memoised on
+    the order.
+    """
+    s, family = spec.s, spec.family
+    rank = order.rank_list
+    r = rank[root]
+    adj = g.nbrs
+    near = adj[root]
+    one = [v for v in near if rank[v] > r]
+    pre = order.ball_sizes(g)[root] if s >= 1 else len(one)
+    core_k, need = pruning.thresholds(family, spec.q_low, s)
+    if core_k > 0:
+        one = _induced_core(g, one, core_k)
+    if family == "clique" or s == 0 or len(one) < need:
+        return one, [], pre
+    near_set = set(near)
+    hits: dict[int, int] = {}
+    for u in one:
+        for w in adj[u]:
+            if rank[w] > r and w not in near_set:
+                hits[w] = hits.get(w, 0) + 1
+    return one, [w for w, c in hits.items() if c >= need], pre
 
 
 def _run_chunk(bound_fault: int, root_fn, g: Graph, order: DegeneracyOrder,
@@ -223,12 +270,16 @@ def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: 
     roots are cut into threads * 4 contiguous chunks, which go to the
     process's shared pool, each with the run's bound fault. They are
     submitted costliest first (by _chunk_costs), so that the costliest chunk
-    does not run alone at the end of the call. Counts only grow, so the
-    merged counts exceed the counter limit exactly when some chunk's did.
+    does not run alone at the end of the call. The order's ball-size memo,
+    which pruned runs with s >= 1 read, is filled before any chunk is sent.
+    Counts only grow, so the merged counts exceed the counter limit exactly
+    when some chunk's did.
     """
     t0 = time.perf_counter()
     if order is None:
         order = degeneracy_order(g)
+    if prune and spec.s >= 1:
+        order.ball_sizes(g)  # fill the memo here, so that every chunk carries it
     roots = order.order.tolist()
     if threads <= 1 or len(roots) < 4:
         run = _run_chunk(pruning.BOUND_FAULT, root_fn, g, order, spec, prune, local, roots)

@@ -17,9 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 
-from hcscount import (MotifSpec, build_root_neighborhood, collect_candidates,  # noqa: E402
-                      count_by_pivot, degeneracy_order, from_edges, load_edge_list,
-                      random_gnp)
+from hcscount import (DegeneracyOrder, MotifSpec, build_root_neighborhood,  # noqa: E402
+                      collect_candidates, count_by_pivot, degeneracy_order, from_edges,
+                      load_edge_list, random_gnp)
 from hcscount.pruning import reduce_candidates  # noqa: E402
 from hcscount.runner import RunStats, prepare_root  # noqa: E402
 
@@ -172,3 +172,71 @@ def test_pickled_graph_stays_csr_only():
     assert len(pickle.dumps(g)) == before
     copy = pickle.loads(pickle.dumps(g))
     assert copy.nbrs == g.nbrs
+
+
+def pairs_within_two(nb) -> int:
+    """Unordered vertex pairs at distance 1 or 2, from adjacency sets."""
+    total = 0
+    for u, near in nb.items():
+        ball = set(near).union(*(nb[v] for v in near))
+        ball.discard(u)
+        total += len(ball)
+    return total // 2
+
+
+def permuted_order(g, seed: int) -> DegeneracyOrder:
+    """A valid root order that is not the degeneracy order."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[perm] = np.arange(g.n)
+    return DegeneracyOrder(perm, rank, 0, np.zeros(g.n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("gi", range(len(GRAPHS)))
+def test_cand_pre_counts_pairs_within_two(gi):
+    """Every pair at distance <= 2 is a raw candidate of its lower-rank end
+    exactly once, so a run's cand_pre is m for s = 0 and the number of such
+    pairs for s >= 1, whatever the order, the prune flag or the threads."""
+    g = GRAPHS[gi]
+    want = {0: g.m, 1: pairs_within_two(naive_neighbors(g.edge_list()))}
+    for make in (degeneracy_order, lambda g: permuted_order(g, seed=gi)):
+        for spec in (MotifSpec.single("clique", 0, 4), MotifSpec.single("dclique", 1, 5),
+                     MotifSpec.single("plex", 2, 6)):
+            for prune in (True, False):
+                for threads in (1, 2):
+                    run = count_by_pivot(g, spec, prune=prune, threads=threads, order=make(g))
+                    assert run.stats.cand_pre == want[min(spec.s, 1)], (spec, prune, threads)
+
+
+def test_pickled_order_keeps_the_ball_memo():
+    g = GRAPHS[3]
+    order = degeneracy_order(g)
+    count_by_pivot(g, MotifSpec.single("plex", 1, 4), order=order, threads=1)
+    sizes = order.ball_sizes(g)
+    assert "rank_list" in order.__dict__
+    copy = pickle.loads(pickle.dumps(order))
+    assert "rank_list" not in copy.__dict__
+    assert copy._ball_sizes == sizes
+    # the memo is read, not rebuilt: a graph with no edges would give zeros
+    assert copy.ball_sizes(from_edges([], vertex_universe=np.arange(g.n))) == sizes
+
+
+@pytest.mark.parametrize("gi", [3, 4])
+def test_sub_orders_count_each_root_as_the_full_order(gi):
+    """A sub-order over one chunk's roots (the full rank, a slice of the
+    order) memoises the same per-root counts, and its runs' cand_pre add up
+    to the full run's."""
+    g = GRAPHS[gi]
+    order = degeneracy_order(g)
+    spec = MotifSpec.single("dclique", 1, 5)
+    full = count_by_pivot(g, spec, order=order, threads=1)
+    sizes = order.ball_sizes(g)
+    total = 0
+    roots = order.order
+    for start in range(0, len(roots), 9):
+        sub = DegeneracyOrder(roots[start:start + 9], order.rank, order.degeneracy,
+                              order.core_numbers)
+        total += count_by_pivot(g, spec, order=sub, threads=1).stats.cand_pre
+        sub_sizes = sub.ball_sizes(g)
+        assert all(sub_sizes[v] == sizes[v] for v in sub.order.tolist())
+    assert total == full.stats.cand_pre
