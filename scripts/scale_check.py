@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Time set-up and two pivot counts on the benchmark generator's social graph at a given size.
 
-Usage: PYTHONPATH=src python3 scripts/scale_check.py N [--threads T]
+Usage: PYTHONPATH=src python3 scripts/scale_check.py N
 
 Writes gen.social(1, tmp, N) to a temporary directory (N is the size asked
 for; the generator keeps a few percent fewer vertices), loads it and orders
-it, then counts dclique(1,9) and plex(1,9) with the pivot engine, pruning
-on. Each spec runs twice: first on a fresh copy of the order, which still
+it, then counts dclique(1,9) and plex(1,9) serially with the pivot engine,
+pruning on. Each spec runs twice: first on a fresh copy of the order, which still
 has to fill whatever the order memoises, then again on the same copy. Every
 line gives the times in seconds (wall clock) and the count, cand_pre,
 cand_now and nodes, which must be the same in both runs and across
@@ -41,7 +41,6 @@ def timed(fn, *args, **kwargs):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="vertex count asked of the generator")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         path = gen.social(1, Path(tmp), args.n)[0]
@@ -52,7 +51,7 @@ def main() -> int:
     for spec in SPECS:
         fresh = DegeneracyOrder(order.order, order.rank, order.degeneracy, order.core_numbers)
         for label in ("first", "repeat"):
-            run, t = timed(count_by_pivot, g, spec, order=fresh, threads=args.threads)
+            run, t = timed(count_by_pivot, g, spec, order=fresh, threads=1)
             st = run.stats
             print(f"{spec.describe()} {label} {t:.2f} s count={run.count} "
                   f"cand_pre={st.cand_pre} cand_now={st.cand_now} nodes={st.nodes}")

@@ -238,19 +238,28 @@ class DegeneracyOrder:
         This is a root's raw candidate count for s >= 1, and over all roots of
         a full order it sums to the number of vertex pairs within distance 2.
         The first call fills the memo in one pass over the roots: each
-        neighbor list is sorted by rank, so a root takes from each list
-        (its own and its neighbors') only the part above its rank, found by
-        bisection, and counts the union of those parts.
+        neighbor list a root reads (its own and its neighbors') is sorted by
+        rank, so the root takes from each only the part above its rank,
+        found by bisection, and counts the union of those parts. Only those
+        lists are sorted, so a sub-order pays for its own roots.
         """
         if self._ball_sizes is None:
             rank = self.rank_list
-            src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-            keys = np.sort(src * g.n + self.rank[g.indices])
-            by_rank = (keys - src * g.n).tolist()
-            bounds = g.indptr.tolist()
-            ranks = [by_rank[bounds[u]:bounds[u + 1]] for u in range(g.n)]
-            sizes = [0] * len(rank)
             adj = g.nbrs
+            deg = np.diff(g.indptr)
+            src = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+            read = np.zeros(g.n, dtype=bool)
+            read[self.order] = True
+            read[g.indices[read[src]]] = True
+            arcs = read[src]
+            keys = np.sort(src[arcs] * g.n + self.rank[g.indices[arcs]])
+            by_rank = (keys % g.n).tolist()
+            ids = np.flatnonzero(read)
+            ends = np.cumsum(deg[ids]).tolist()
+            ranks: list[list[int]] = [[]] * g.n
+            for u, e in zip(ids.tolist(), ends):
+                ranks[u] = by_rank[e - len(adj[u]):e]
+            sizes = [0] * len(rank)
             for root in self.order.tolist():
                 r = rank[root]
                 own = ranks[root]

@@ -190,18 +190,17 @@ def _reduce_from_core(g: Graph, order: DegeneracyOrder, root: int,
     the order.
     """
     s, family = spec.s, spec.family
-    rank = order.rank_list
-    r = rank[root]
-    adj = g.nbrs
-    near = adj[root]
-    one = [v for v in near if rank[v] > r]
+    one, _ = collect_candidates(g, order, root, False)
     pre = order.ball_sizes(g)[root] if s >= 1 else len(one)
     core_k, need = pruning.thresholds(family, spec.q_low, s)
     if core_k > 0:
         one = _induced_core(g, one, core_k)
     if family == "clique" or s == 0 or len(one) < need:
         return one, [], pre
-    near_set = set(near)
+    rank = order.rank_list
+    r = rank[root]
+    adj = g.nbrs
+    near_set = set(adj[root])
     hits: dict[int, int] = {}
     for u in one:
         for w in adj[u]:
