@@ -6,8 +6,8 @@ Usage: PYTHONPATH=src python3 scripts/scale_check.py N
 Writes gen.social(1, tmp, N) to a temporary directory (N is the size asked
 for; the generator keeps a few percent fewer vertices), loads it and orders
 it, then counts dclique(1,9) and plex(1,9) serially with the pivot engine,
-pruning on. Each spec runs twice: first on a fresh copy of the order, which still
-has to fill whatever the order memoises, then again on the same copy. Every
+pruning on. Each spec runs twice: first on a fresh copy of the order, which
+still has to fill whatever the order memoises, then again on the same copy. Every
 line gives the times in seconds (wall clock) and the count, cand_pre,
 cand_now and nodes, which must be the same in both runs and across
 checkouts that search the same trees. Generating the graph is not timed; at
