@@ -41,7 +41,8 @@ GNP = [(20, 0.5, 7001), (24, 0.4, 7002), (30, 0.3, 7003), (18, 0.7, 7004)]
 SPECS = [
     ("clique", 0, 4, 4), ("clique", 0, 3, 7),
     ("dclique", 1, 3, 3), ("dclique", 1, 5, 5), ("dclique", 2, 4, 4),
-    ("dclique", 2, 6, 6), ("dclique", 1, 3, 7),
+    ("dclique", 2, 6, 6), ("dclique", 1, 3, 7), ("dclique", 2, 4, 8),
+    ("dclique", 3, 5, 8),
     ("plex", 1, 3, 3), ("plex", 1, 5, 5), ("plex", 2, 5, 5), ("plex", 2, 6, 6),
     ("plex", 1, 3, 7), ("plex", 2, 5, 7),
 ]

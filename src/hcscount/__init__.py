@@ -13,8 +13,8 @@ from .motifs import (DcliqueState, MotifSpec, PlexState, SpecError, is_hcs, miss
                      vertex_deficiency)
 from .oracle import (OracleInfeasibleError, brute_force_count, brute_force_pivot_check,
                      sweep)
-from .pivot import (binom, count_by_pivot, knapsack_counts, knapsack_table,
-                    select_pivot_dclique, select_pivot_plex)
+from .pivot import (binom, count_by_pivot, knapsack_counts, select_pivot_dclique,
+                    select_pivot_plex)
 from .runner import CounterOverflowError, RunStats
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __all__ = [
     "build_root_neighborhood", "collect_candidates", "complete_graph",
     "count_by_listing", "count_by_pivot", "cycle_graph",
     "degeneracy_order", "enumerate_by_listing", "from_edges", "is_hcs",
-    "knapsack_counts", "knapsack_table", "load_edge_list", "missing_edges",
+    "knapsack_counts", "load_edge_list", "missing_edges",
     "random_gnp", "select_pivot_dclique", "select_pivot_plex", "sweep",
     "vertex_deficiency",
 ]

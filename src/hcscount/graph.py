@@ -94,21 +94,11 @@ class Graph:
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighborhoods as bitmasks over 0..n-1 (small graphs only)."""
-        masks = [0] * self.n
-        for u in range(self.n):
-            bits = np.zeros(self.n, dtype=bool)
-            bits[self.neighbors(u)] = True
-            masks[u] = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-        return masks
+        return [sum(1 << v for v in row) for row in self.nbrs]
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All undirected edges (u, v) with u < v, in dense ids."""
-        out = []
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+        return [(u, v) for u, row in enumerate(self.nbrs) for v in row if u < v]
 
 
 def from_edges(pairs: Iterable[tuple[int, int]], stats: LoadStats | None = None,
@@ -127,43 +117,23 @@ def from_edges(pairs: Iterable[tuple[int, int]], stats: LoadStats | None = None,
         bad = next(x for pair in pairs for x in pair
                    if not ID_RANGE.start <= x < ID_RANGE.stop)
         raise ParseError(f"vertex id outside the int64 range: {bad}") from None
-    if arr.size == 0 and vertex_universe is None:
-        stats.n = 0
-        stats.m = 0
-        return Graph(0, 0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32),
-                     np.zeros(0, dtype=np.int64), stats)
-
     universe = arr.ravel()
     if vertex_universe is not None:
         universe = np.concatenate([universe, np.asarray(vertex_universe, dtype=np.int64)])
     orig_ids = np.unique(universe)
-    dense = np.searchsorted(orig_ids, arr.ravel()).reshape(-1, 2)
     n = len(orig_ids)
-    if n and arr.size == 0:
-        return Graph(n, 0, np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int32),
-                     orig_ids, stats)
-
-    self_loops = dense[:, 0] == dense[:, 1]
-    stats.self_loops_dropped = int(self_loops.sum())
-    dense = dense[~self_loops]
-
-    # symmetrize: canonical (min, max) rows, then dedup
-    lo = dense.min(axis=1)
-    hi = dense.max(axis=1)
-    und = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(dense) else dense
-    m = len(und)
-    stats.duplicates_dropped = len(dense) - m
+    u, v = np.searchsorted(orig_ids, arr.T)
+    loop = u == v
+    stats.self_loops_dropped = int(loop.sum())
+    u, v = u[~loop], v[~loop]
+    # both arcs of every edge as sorted keys src * n + dst, duplicates merged
+    src, dst = np.divmod(np.unique(np.concatenate([u * n + v, v * n + u])), n)
+    m = len(src) // 2
+    stats.duplicates_dropped = len(u) - m
     stats.n = n
     stats.m = m
-
-    both = np.concatenate([und, und[:, ::-1]], axis=0)
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, both[:, 0] + 1, 1)
-    indptr = np.cumsum(indptr)
-    indices = both[:, 1].astype(np.int32)
-    return Graph(n, m, indptr, indices, orig_ids, stats)
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    return Graph(n, m, indptr, dst.astype(np.int32), orig_ids, stats)
 
 
 def load_edge_list(source: str | Path | IO) -> Graph:

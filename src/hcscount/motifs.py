@@ -9,8 +9,10 @@ Both search engines drive one state object per root through one interface:
   the bound ``R.append``, with no interpreted call);
 * ``filter_candidates(C, u)``: the candidates that still extend R after u's
   push; ``filter_pivots(D, u)``: the same for the pivot engine's set D;
-* ``leaf_weights(D)``: knapsack weights of D's members and the budget they
-  share, or None when every subset of D completes R.
+* ``leaf_classes(D, nD)``: D split by deficiency into classes of weight 0
+  up to the edge budget left (at most s), their sizes, and that budget, which
+  a completing subset's weights must fit; clique and plex return D as the
+  single weight-0 class, since every subset of D completes R.
 
 Membership checks stay O(1) through per-family bookkeeping:
 
@@ -152,8 +154,9 @@ class CliqueState:
 
     filter_pivots = filter_candidates
 
-    def leaf_weights(self, D: int) -> None:
-        return None
+    def leaf_classes(self, D: int, nD: int) -> tuple[tuple[int], tuple[int], int]:
+        """D as one class of weight 0 (nD members): any subset of D completes R."""
+        return (D,), (nD,), 0
 
     def check_live(self, live: int) -> None:
         """Nothing to check: a clique keeps no counts."""
@@ -227,10 +230,22 @@ class DcliqueState:
     # since the budget only shrinks below this node
     filter_pivots = filter_candidates
 
-    def leaf_weights(self, D: int) -> tuple[list[int], int]:
-        """Deficiencies of D's members (lowest bit first) and the edge budget."""
+    def leaf_classes(self, D: int, nD: int) -> tuple[list[int], tuple[int, ...], int]:
+        """D split by deficiency (masks[w] holds its members with A = w, for
+        w in 0..budget), the class sizes, and the edge budget their sum must
+        fit. A member heavier than the budget is in no completing subset,
+        so it is left out (filter_pivots drops such members anyway)."""
         A = self.A
-        return [A[d] for d in iter_bits(D)], self.s - self.total_missing
+        budget = self.s - self.total_missing
+        masks = [0] * (budget + 1)
+        w = D
+        while w:
+            b = w & -w
+            a = A[b.bit_length() - 1]
+            if a <= budget:
+                masks[a] |= b
+            w ^= b
+        return masks, tuple(map(int.bit_count, masks)), budget
 
     def recompute(self) -> tuple[int, list[int]]:
         """From-scratch (total_missing, A) for consistency checks."""
@@ -306,5 +321,5 @@ class PlexState(DcliqueState):
         (see pivot.select_pivot_plex)."""
         return D
 
-    def leaf_weights(self, D: int) -> None:
-        return None
+    # any subset of D completes R (see filter_pivots)
+    leaf_classes = CliqueState.leaf_classes

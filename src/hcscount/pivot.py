@@ -16,12 +16,12 @@ D that can no longer complete R; R only grows below the push, so a dropped
 member never could again. Hence:
 
 * closure leaf (|R| = q_high - 1): every member of C | D completes R;
-* combinatorial leaf (C empty): the family's leaf_weights(D) decides which
-  k-subsets of D complete R. clique and plex return None: any k of D do, a
-  binomial. dclique returns its members' deficiencies: a k-subset fits when
-  their sum stays within the remaining edge budget (0/1 knapsack).
-  A binomial leaf's credits depend only on (|R|, |D|, q_low, q_high), so
-  they are memoised (_binom_leaf).
+* combinatorial leaf (C empty): the family's leaf_classes(D) splits D by
+  deficiency w <= s (clique and plex: one class, w = 0), and a k-subset
+  of D completes R when its weights sum to at most the remaining edge
+  budget. The credits, with each class's per-member and per-pair shares,
+  depend only on |R|, the class sizes, the budget and the size range, so
+  they are memoised (_leaf), and computed from binomials (_fits).
 
 A branch vertex fits the family's budget with R (the filters keep only
 such vertices, and a root has 2-hop candidates only for s >= 1), so a branch
@@ -43,7 +43,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import pruning
 from .graph import DegeneracyOrder, Graph, RootNeighborhood
@@ -57,86 +57,55 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-@lru_cache(maxsize=4096)
-def _binom_leaf(nR: int, nD: int, q_lo: int, q_hi: int) -> tuple[tuple, int, int, int]:
-    """An unweighted combinatorial leaf (any k of D complete R): the
-    (size, count) pairs it credits, their total, and how many of those
-    results hold a given member of D, and a given pair of members."""
-    k_lo = max(0, q_lo - nR)
-    k_hi = min(nD, q_hi - nR)
-    ks = range(k_lo, k_hi + 1)
-    credits = tuple((nR + k, math.comb(nD, k)) for k in ks)
-    one = sum(binom(nD - 1, k - 1) for k in ks)
-    two = sum(binom(nD - 2, k - 2) for k in ks)
-    return credits, sum(c for _, c in credits), one, two
-
-
-def knapsack_table(weights: list[int], budget: int, k_max: int) -> list[list[int]]:
-    """dp[j][b] = number of j-subsets of `weights` with weight sum exactly b."""
-    budget = max(budget, 0)
-    dp = [[0] * (budget + 1) for _ in range(k_max + 1)]
-    dp[0][0] = 1
-    for w in weights:
-        if w > budget:
-            continue
-        lo = w if w else 0
-        for j in range(k_max, 0, -1):
-            row, prev = dp[j], dp[j - 1]
-            for b in range(budget, lo - 1, -1):
-                if prev[b - w]:
-                    row[b] += prev[b - w]
-    return dp
-
-
-def knapsack_remove(dp: list[list[int]], w: int, budget: int) -> list[list[int]]:
-    """Inverse of inserting one item of weight w into the counting DP."""
-    out = [row[:] for row in dp]
-    if w > budget:
-        return out
-    for j in range(1, len(out)):
-        row, prev = out[j], out[j - 1]
-        for b in range(w, budget + 1):
-            row[b] -= prev[b - w]
-    return out
+def _fits(counts: tuple[int, ...], budget: int, k: int) -> int:
+    """Number of k-subsets of a multiset holding counts[w] members of weight
+    w whose weights sum to at most budget (0 if any count is negative)."""
+    if k < 0 or budget < 0:
+        return 0
+    w = len(counts) - 1
+    if not w:
+        return binom(counts[0], k)
+    c, rest = counts[w], counts[:w]
+    return sum(binom(c, j) * _fits(rest, budget - w * j, k - j)
+               for j in range(min(c, k, budget // w) + 1))
 
 
 def knapsack_counts(weights: list[int], budget: int, k: int) -> int:
-    """Number of k-subsets whose weights sum to at most budget."""
-    if k < 0 or k > len(weights):
-        return 0
-    if budget < 0:
-        return 0
-    dp = knapsack_table(weights, budget, k)
-    return sum(dp[k])
+    """Number of k-subsets of `weights` whose sum is at most budget."""
+    counts = [0] * (max(weights, default=0) + 1)
+    for w in weights:
+        counts[w] += 1
+    return _fits(tuple(counts), budget, k)
 
 
-def _weight_classes(D: int, weights: list[int], dp: list[list[int]], budget: int,
-                    k_lo: int, k_hi: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """A dclique leaf's D split by deficiency, for _RootLocal.credit_leaf.
+@lru_cache(maxsize=1 << 14)
+def _leaf(nR: int, counts: tuple[int, ...], budget: int, q_lo: int,
+          q_hi: int) -> tuple[tuple, int, tuple, tuple]:
+    """A combinatorial leaf: R has nR members, and D holds counts[w] members
+    of deficiency w; a k-subset of D completes R when q_lo <= nR + k <= q_hi
+    and its deficiencies sum to at most budget.
 
-    dp is the leaf's knapsack table over weights (D's members, lowest bit
-    first). A member's one- and two-member counts depend only on its weight,
-    which lies in 0..s, so this takes O(s^2) knapsack_remove calls.
+    Returns the (size, count) pairs it credits, their total, and per class,
+    how many of those results hold a given member of it (ones[w]) and a given
+    pair of members of classes w <= x (two[w][x]), the shape that
+    _RootLocal.credit_leaf takes.
     """
-    masks: dict[int, int] = {}
-    for d, w in zip(iter_bits(D), weights):
-        masks[w] = masks.get(w, 0) | (1 << d)
-    ws = list(masks)
+    ks = range(max(0, q_lo - nR), min(sum(counts), q_hi - nR) + 1)
+    credits = tuple((nR + k, c) for k in ks if (c := _fits(counts, budget, k)))
 
-    def fitting(table: list[list[int]], rows: range, room: int) -> int:
-        return sum(sum(table[k][:room + 1]) for k in rows) if room >= 0 else 0
+    def holding(*held: int) -> int:
+        # results holding one given member of each class in held (0 when a
+        # class is too small: _fits counts nothing over a negative count)
+        less = list(counts)
+        for w in held:
+            less[w] -= 1
+        less, room = tuple(less), budget - sum(held)
+        return sum(_fits(less, room, k - len(held)) for k in ks)
 
-    removed = [knapsack_remove(dp, w, budget) for w in ws]
-    classes = [(masks[w], fitting(removed[i], range(max(k_lo, 1) - 1, k_hi), budget - w))
-               for i, w in enumerate(ws)]
-    two = [[0] * len(ws) for _ in ws]
-    for i, w in enumerate(ws):
-        for j in range(i, len(ws)):
-            room = budget - w - ws[j]
-            if room >= 0 and (j > i or masks[w].bit_count() > 1):
-                two[i][j] = fitting(knapsack_remove(removed[i], ws[j], budget),
-                                    range(max(k_lo, 2) - 2, k_hi - 1), room)
-    return classes, two
+    classes = range(len(counts))
+    ones = tuple(holding(w) for w in classes)
+    two = tuple(tuple(holding(w, x) if x >= w else 0 for x in classes) for w in classes)
+    return credits, sum(c for _, c in credits), ones, two
 
 
 @dataclass
@@ -303,39 +272,39 @@ class _RootLocal:
                 row = self.held_e[u]
                 row[m] = row.get(m, 0) + n
 
-    def credit_leaf(self, R: list[int], n: int, classes: list[tuple[int, int]],
-                    two: list[list[int]]) -> None:
+    def credit_leaf(self, R: list[int], n: int, masks: Sequence[int], ones: Sequence[int],
+                    two: Sequence[Sequence[int]]) -> None:
         """A leaf: n results complete R, each with a set of completion members.
 
-        The members are split into classes (mask, c1): each member lies in c1
-        of the results, and a member of class i and another of class j lie
-        together in two[i][j] of them. At a combinatorial leaf the members
-        are D, a clique, so every such pair is an edge; at a closure leaf
-        they are xs, one per result.
+        The members are split into classes: each member of masks[i] lies in
+        ones[i] of the results, and a member of class i and another of class
+        j >= i lie together in two[i][j] of them. At a combinatorial leaf the
+        members are D, a clique, so every such pair is an edge; at a closure
+        leaf they are xs, one per result.
         """
         self.found += n
-        if self.pv is not None:
-            hv = self.held_v
-            for mask, c1 in classes:
-                if mask and c1:
-                    hv[mask] = hv.get(mask, 0) + c1
+        hv = self.held_v if self.pv is not None else None
         he = self.held_e
-        if he is not None:
-            adj = self.adj
-            for r in R:
-                row = he[r]
-                ar = adj[r]
-                for mask, c1 in classes:
-                    m = ar & mask
-                    if m and c1:
+        adj = self.adj
+        for mask, c1 in zip(masks, ones):
+            if not (mask and c1):
+                continue
+            if hv is not None:
+                hv[mask] = hv.get(mask, 0) + c1
+            if he is not None:
+                for r in R:
+                    m = adj[r] & mask
+                    if m:
+                        row = he[r]
                         row[m] = row.get(m, 0) + c1
+        if he is not None:
             hp = self.held_pairs
-            for i, (a, _) in enumerate(classes):
+            for i, a in enumerate(masks):
                 two_i = two[i]
-                for j in range(i, len(classes)):
+                for j in range(i, len(masks)):
                     c2 = two_i[j]
                     if c2:
-                        key = (a, classes[j][0])
+                        key = (a, masks[j])
                         hp[key] = hp.get(key, 0) + c2
         self.leaves += 1
         if self.leaves == self.hold:
@@ -405,7 +374,7 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     R = state.R
     push, pop = state.push, state.pop
     filter_candidates, filter_pivots = state.filter_candidates, state.filter_pivots
-    leaf_weights = state.leaf_weights
+    leaf_classes = state.leaf_classes
     select_pivot = rules.select_pivot
     bound = rules.bound if prune else None
     keeps_counts = state.keeps_counts
@@ -413,30 +382,13 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     fault = pruning.BOUND_FAULT
 
     def comb_leaf(nR: int, D: int, nD: int) -> None:
-        weighted = leaf_weights(D)
-        if weighted is None:
-            credits, tot, one, two = _binom_leaf(nR, nD, q_lo, q_hi)
-            for size, c in credits:
-                counts[size] += c
-            stats.comb_credits += tot
-            if scratch is not None and tot:
-                scratch.credit_leaf(R, tot, [(D, one)], [[two]])
-            return
-        # rec reaches a leaf only with nR + nD >= q_lo and nR < q_hi - 1,
-        # so k_lo <= k_hi
-        k_lo = max(0, q_lo - nR)
-        k_hi = min(nD, q_hi - nR)
-        weights, budget = weighted
-        dp = knapsack_table(weights, budget, k_hi)
-        tot = 0
-        for k in range(k_lo, k_hi + 1):
-            c = sum(dp[k])
-            counts[nR + k] += c
-            tot += c
+        masks, sizes, budget = leaf_classes(D, nD)
+        credits, tot, ones, two = _leaf(nR, sizes, budget, q_lo, q_hi)
+        for size, c in credits:
+            counts[size] += c
         stats.comb_credits += tot
         if scratch is not None and tot:
-            scratch.credit_leaf(R, tot, *_weight_classes(D, weights, dp, budget,
-                                                        k_lo, k_hi))
+            scratch.credit_leaf(R, tot, masks, ones, two)
 
     def rec(C: int, D: int) -> None:
         stats.nodes += 1
@@ -456,7 +408,7 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
                 counts[q_hi - 1] += 1
                 stats.closure_credits += 1
             if scratch is not None:
-                scratch.credit_leaf(R, n_new + close_lo, [(xs, 1)], [[0]])
+                scratch.credit_leaf(R, n_new + close_lo, (xs,), (1,), ((0,),))
             return
         if C == 0:
             comb_leaf(nR, D, nD)

@@ -61,6 +61,25 @@ class TestLoadEdgeList:
         g = load_edge_list(io.BytesIO(b"3 7\n"))
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: from_edges([], vertex_universe=np.arange(5)),
+        lambda: from_edges([(4, 4)], vertex_universe=np.array([9])),
+        lambda: random_gnp(6, 0.0, 1),
+        lambda: from_edges([]),
+    ], ids=["universe", "self-loop", "gnp", "empty"])
+    def test_edge_free_inputs_report_load_stats(self, make):
+        g = make()
+        assert (g.stats.n, g.stats.m) == (g.n, g.m)
+        assert g.m == 0 and list(g.indptr) == [0] * (g.n + 1)
+
+    def test_masks_and_edge_list_match_csr(self):
+        g = random_gnp(15, 0.4, seed=3)
+        masks = g.adjacency_masks()
+        assert all(((masks[u] >> v) & 1) == g.has_edge(u, v)
+                   for u in range(g.n) for v in range(g.n))
+        assert g.edge_list() == [(u, int(v)) for u in range(g.n) for v in g.neighbors(u)
+                                 if u < v]
+
 
 class TestDegeneracyOrder:
     def test_triangle_is_2_core(self):

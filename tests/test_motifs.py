@@ -164,7 +164,8 @@ class TestCliqueState:
                     if (C >> v) & 1:
                         assert bool((kept >> v) & 1) == is_hcs(spec, g, state.R + [v])
                 C = kept
-            assert state.leaf_weights(adj[0]) is None
+            nD = adj[0].bit_count()
+            assert state.leaf_classes(adj[0], nD) == ((adj[0],), (nD,), 0)
             while state.R:
                 state.pop()
 

@@ -9,10 +9,10 @@ import pytest
 from hcscount import (DcliqueState, MotifSpec, PlexState, binom, brute_force_count,
                       brute_force_pivot_check, complete_graph, count_by_listing,
                       count_by_pivot, degeneracy_order, from_edges, knapsack_counts,
-                      knapsack_table, random_gnp, select_pivot_dclique, select_pivot_plex)
+                      random_gnp, select_pivot_dclique, select_pivot_plex)
 import hcscount.pruning as pruning
 from hcscount.motifs import iter_bits
-from hcscount.pivot import FAMILY_RULES, PivotDecision, _binom_leaf, knapsack_remove
+from hcscount.pivot import FAMILY_RULES, PivotDecision, _leaf
 from hcscount.runner import prepare_root, RunStats
 from conftest import REF7_COUNTS, reference_graph
 
@@ -149,13 +149,33 @@ class TestKnapsackLeaf:
                          if sum(weights[i] for i in H) <= budget)
             assert knapsack_counts(weights, budget, k) == expect
 
-    def test_remove_item_inverts_insertion(self):
-        weights = [0, 1, 2, 1, 0, 3]
-        budget = 4
-        dp_all = knapsack_table(weights, budget, 4)
-        dp_wo = knapsack_remove(dp_all, weights[2], budget)
-        dp_direct = knapsack_table(weights[:2] + weights[3:], budget, 4)
-        assert dp_wo == dp_direct
+    def test_leaf_against_subset_enumeration(self):
+        # credits, and the results holding a given member of class w or a
+        # given pair of members of classes w <= x, over mixed weights 0..3
+        rng = random.Random(4321)
+        for _ in range(200):
+            sizes = tuple(rng.randint(0, 3) for _ in range(4))
+            budget = rng.randint(0, 4)
+            nR = rng.randint(0, 3)
+            q_lo = rng.randint(max(1, nR), nR + sum(sizes) + 1)
+            q_hi = rng.randint(q_lo, q_lo + 3)
+            weights = [w for w, c in enumerate(sizes) for _ in range(c)]
+            found = [H for k in range(len(weights) + 1)
+                     for H in itertools.combinations(range(len(weights)), k)
+                     if q_lo <= nR + k <= q_hi and sum(weights[i] for i in H) <= budget]
+            credits, tot, ones, two = _leaf(nR, sizes, budget, q_lo, q_hi)
+            per_size = {}
+            for H in found:
+                per_size[nR + len(H)] = per_size.get(nR + len(H), 0) + 1
+            assert dict(credits) == per_size and tot == len(found)
+            first = [weights.index(w) if c else None for w, c in enumerate(sizes)]
+            for w, a in enumerate(first):
+                assert ones[w] == (0 if a is None else sum(a in H for H in found))
+                for x in range(w, len(sizes)):
+                    b = first[x] if x > w else (a + 1 if sizes[w] > 1 else None)
+                    want = 0 if a is None or b is None else sum({a, b} <= set(H)
+                                                               for H in found)
+                    assert two[w][x] == want, (sizes, budget, w, x)
 
 
 class TestSelectPivotPlex:
@@ -465,14 +485,13 @@ class TestLocalCounts:
     def test_dclique_mixed_weight_leaves_match_oracle(self, monkeypatch):
         import hcscount.pivot as pivot
         seen = set()
-        split = pivot._weight_classes
+        leaf = pivot._leaf
 
-        def recording(*args):
-            classes, two = split(*args)
-            seen.add(len(classes))
-            return classes, two
+        def recording(nR, sizes, *args):
+            seen.add(sum(1 for c in sizes if c))
+            return leaf(nR, sizes, *args)
 
-        monkeypatch.setattr(pivot, "_weight_classes", recording)
+        monkeypatch.setattr(pivot, "_leaf", recording)
         for seed in range(3):
             g = random_gnp(14, 0.7, seed=7200 + seed)
             for spec in (MotifSpec.single("dclique", 2, 7), MotifSpec("dclique", 2, 5, 8)):
@@ -514,10 +533,10 @@ class TestBinomialLeafMemo:
                         ks = [k for k in range(nD + 1) if q_lo <= nR + k <= q_hi]
                         want = (tuple((nR + k, binom(nD, k)) for k in ks),
                                 sum(binom(nD, k) for k in ks),
-                                sum(binom(nD - 1, k - 1) for k in ks),
-                                sum(binom(nD - 2, k - 2) for k in ks))
-                        assert _binom_leaf(nR, nD, q_lo, q_hi) == want, (nR, nD, q_lo, q_hi)
-        assert _binom_leaf.cache_info().maxsize is not None
+                                (sum(binom(nD - 1, k - 1) for k in ks),),
+                                ((sum(binom(nD - 2, k - 2) for k in ks),),))
+                        assert _leaf(nR, (nD,), 0, q_lo, q_hi) == want, (nR, nD, q_lo, q_hi)
+        assert _leaf.cache_info().maxsize is not None
 
     def test_member_and_pair_credits_against_enumeration(self):
         # one/two: the results holding member 0, and members 0 and 1
@@ -527,7 +546,7 @@ class TestBinomialLeafMemo:
                     subsets = [H for k in range(nD + 1)
                                for H in itertools.combinations(range(nD), k)
                                if q_lo <= nR + k <= q_hi]
-                    _, tot, one, two = _binom_leaf(nR, nD, q_lo, q_hi)
+                    _, tot, (one,), ((two,),) = _leaf(nR, (nD,), 0, q_lo, q_hi)
                     assert tot == len(subsets)
                     assert one == sum(0 in H for H in subsets)
                     assert two == sum({0, 1} <= set(H) for H in subsets)
