@@ -78,7 +78,7 @@ def knapsack_counts(weights: list[int], budget: int, k: int) -> int:
     return _fits(tuple(counts), budget, k)
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=4096)
 def _leaf(nR: int, counts: tuple[int, ...], budget: int, q_lo: int,
           q_hi: int) -> tuple[tuple, int, tuple, tuple]:
     """A combinatorial leaf: R has nR members, and D holds counts[w] members
