@@ -15,8 +15,8 @@ digest covers the rows of both without their RunStats: counts, locals and
 result sets only. Two checkouts that give the same answers and search the
 same trees on this matrix print the same lines: run the script in both and
 compare. A change to the search tree alone (a pivot rule, a bound) moves the
-first two lines and leaves the third. It takes two to three minutes on two
-cores.
+first two lines and leaves the third. It takes about a minute and a half
+on two cores.
 """
 
 from __future__ import annotations
