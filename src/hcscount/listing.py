@@ -4,8 +4,19 @@ vertex, with candidate reduction and branch bounds as pruning hooks.
 Serves as the baseline engine and as a cross-check for the pivot engine.
 One recursion serves every family through its state object and FAMILY_RULES
 entry; it counts results, or hands each one to a sink. Single target size
-only; a size-(q-1) partial result closes once per live candidate instead of
-recursing one more level.
+only.
+
+The recursion closes at |R| = q - 2, one level above its results: such a
+node takes one closer from its state (``state.closer(C)``), and for each
+candidate u reads the later candidates v that complete R + {u, v} as one
+bitmask, with no push, filter, pop or bound. That mask is exact, not a
+bound: every member of C extends R (the root's candidates do, and each
+filter keeps only vertices that extend the grown R), so whether R + {u, v}
+is a result depends only on u, v and R's counts (see the closers in
+motifs.py). Stats match a search that branched on u: one branch iteration
+per u, and one node per u whose completion set is non-empty. No bound is
+evaluated at the closing level, so a q = 3 listing evaluates none, and a
+q = 2 listing counts the root's candidates.
 """
 
 from __future__ import annotations
@@ -25,22 +36,44 @@ def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     q = spec.q_low
     stats = run.stats
     verts = rn.verts + [int(rn.root)] if sink is not None else None
+    if q == 2:
+        # the root is already one member short: each candidate closes it
+        stats.nodes += 1
+        if sink is not None:
+            for c in iter_bits(rn.cand_mask):
+                sink(tuple(sorted((verts[rn.root_local], verts[c]))))
+        run.counts[q] += rn.cand_mask.bit_count()
+        return
     rules = FAMILY_RULES[spec.family]
     state = rules.root_state(rn, spec.s)
     R = state.R
     push, pop = state.push, state.pop
     filter_candidates = state.filter_candidates
+    closer = state.closer
     bound = rules.bound if prune else None
     keeps_counts = state.keeps_counts
 
     def rec(C: int) -> int:
         stats.nodes += 1
-        if len(R) == q - 1:
-            if sink is not None:
-                for c in iter_bits(C):
-                    sink(tuple(sorted(verts[x] for x in R + [c])))
-            return C.bit_count()
         total = 0
+        if len(R) == q - 2:
+            close = closer(C)
+            closed = 0
+            w = C
+            while w:
+                b = w & -w
+                u = b.bit_length() - 1
+                w ^= b
+                m = close(u, w)
+                if m:
+                    closed += 1
+                    total += m.bit_count()
+                    if sink is not None:
+                        for v in iter_bits(m):
+                            sink(tuple(sorted(verts[x] for x in R + [u, v])))
+            stats.nodes += closed
+            stats.branch_iters += C.bit_count()
+            return total
         w = C
         while w:
             b = w & -w

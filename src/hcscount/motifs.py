@@ -9,6 +9,11 @@ Both search engines drive one state object per root through one interface:
   the bound ``R.append``, with no interpreted call);
 * ``filter_candidates(C, u)``: the candidates that still extend R after u's
   push; ``filter_pivots(D, u)``: the same for the pivot engine's set D;
+* ``closer(C)``: for the listing engine's last branching level, a function
+  ``close(u, rest)`` giving the members v of ``rest`` that complete
+  R + {u, v}, which is the set ``filter_candidates(rest, u)`` gives after
+  u's push, read without one. It takes C, the node's candidates, every one
+  of which extends R; it and its function leave the state unchanged;
 * ``leaf_classes(D, nD)``: D split by deficiency into classes of weight 0
   up to the edge budget left (at most s), their sizes, and that budget, which
   a completing subset's weights must fit; clique and plex return D as the
@@ -154,6 +159,11 @@ class CliqueState:
 
     filter_pivots = filter_candidates
 
+    def closer(self, C: int):
+        """R + {u, v} is a clique exactly when v is adjacent to u."""
+        adj = self.adj
+        return lambda u, rest: adj[u] & rest
+
     def leaf_classes(self, D: int, nD: int) -> tuple[tuple[int], tuple[int], int]:
         """D as one class of weight 0 (nD members): any subset of D completes R."""
         return (D,), (nD,), 0
@@ -229,6 +239,28 @@ class DcliqueState:
     # a pivot whose deficiency exceeds the budget can never complete R again,
     # since the budget only shrinks below this node
     filter_pivots = filter_candidates
+
+    def closer(self, C: int):
+        """R + {u, v} misses m̄(R) + A[u] + A[v] + [v not adjacent to u]
+        edges, so v completes it iff A[v] + [v ∉ N(u)] <= b, with
+        b = s - m̄(R) - A[u]. Members of C are bucketed by A once:
+        upto[k] holds those with A < k (A <= budget, since each extends R)."""
+        A = self.A
+        adj = self.adj
+        budget = self.s - self.total_missing
+        upto = [0] * (budget + 2)
+        w = C
+        while w:
+            b = w & -w
+            upto[A[b.bit_length() - 1] + 1] |= b
+            w ^= b
+        for k in range(1, budget + 2):
+            upto[k] |= upto[k - 1]
+
+        def close(u: int, rest: int) -> int:
+            b = budget - A[u]
+            return rest & (upto[b] | (upto[b + 1] & adj[u]))
+        return close
 
     def leaf_classes(self, D: int, nD: int) -> tuple[list[int], tuple[int, ...], int]:
         """D split by deficiency (masks[w] holds its members with A = w, for
@@ -312,6 +344,32 @@ class PlexState(DcliqueState):
         if A[u] == s:
             out &= adj[u]
         return out
+
+    def closer(self, C: int):
+        """v completes R + {u, v} iff u and v each stay within s non-neighbors
+        (v is adjacent to u, or both have A < s) and no member of R that
+        misses u and has A = s - 1 also misses v. A member already at s has
+        evicted its non-neighbors from C, and R + {u} is valid, since every
+        member of C extends R."""
+        A = self.A
+        adj = self.adj
+        nonadj = self.nonadj
+        s = self.s
+        light = self._within(C, s - 1)
+        near = 0
+        for x in self.R:
+            if A[x] == s - 1:
+                near |= 1 << x
+
+        def close(u: int, rest: int) -> int:
+            m = rest & (adj[u] | light) if A[u] < s else rest & adj[u]
+            w = nonadj[u] & near
+            while w:
+                b = w & -w
+                m &= adj[b.bit_length() - 1]
+                w ^= b
+            return m
+        return close
 
     def filter_pivots(self, D: int, u: int) -> int:
         """D unchanged: a plex pivot is admitted only when every member of R

@@ -115,6 +115,23 @@ class TestEnumerateByListing:
                 enumerate_by_listing(g, spec, got.append)
                 assert count_by_listing(g, spec).count == len(got)
 
+    @pytest.mark.parametrize("fam,s,q", [
+        ("clique", 0, 2), ("dclique", 0, 2), ("plex", 0, 2), ("clique", 0, 3),
+        ("dclique", 0, 3), ("dclique", 1, 3), ("plex", 0, 3), ("plex", 1, 3)])
+    def test_closing_root_emits_oracle_sets(self, fam, s, q):
+        # q = 2: the root closes each candidate; q = 3: the root is the node
+        # that closes pairs, with no branch below it
+        spec = MotifSpec.single(fam, s, q)
+        for seed in range(4):
+            g = random_gnp(14, 0.45, seed=1400 + seed)
+            oracle = brute_force_count(g, spec, collect_sets=True)
+            assert oracle.sets
+            for prune in (True, False):
+                got = []
+                enumerate_by_listing(g, spec, got.append, prune=prune)
+                assert len(got) == len(set(got)), "duplicate emission"
+                assert sorted(got) == sorted(oracle.sets), (seed, prune)
+
 
 class TestCrossEngine:
     def test_listing_equals_pivot_on_reference(self):

@@ -1,6 +1,7 @@
 """Motif validation, definitional membership, and incremental state."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hcscount import (DcliqueState, MotifSpec, PlexState, SpecError, from_edges,
                       is_hcs, missing_edges, random_gnp, vertex_deficiency)
-from hcscount.motifs import CliqueState
+from hcscount.motifs import CliqueState, iter_bits
 from conftest import reference_graph
 
 
@@ -282,6 +283,55 @@ def test_push_accepted_exactly_when_result_stays_hcs(cls, g, s, rnd):
         if ok:
             state.push(u)
     assert is_hcs(spec, graph, state.R)
+
+
+CLOSER_CASES = [(CliqueState, "clique", 0)] + [
+    (cls, fam, s) for cls, fam in ((DcliqueState, "dclique"), (PlexState, "plex"))
+    for s in range(4)]
+
+
+def _snapshot(state):
+    return (list(state.R), getattr(state, "rmask", None),
+            getattr(state, "total_missing", None), list(getattr(state, "A", ())))
+
+
+@pytest.mark.parametrize("cls,family,s", CLOSER_CASES)
+def test_closer_equals_push_filter_pop_and_definition(cls, family, s):
+    # the listing engine's last branching level: close(u, rest) gives without
+    # a push what push(u), filter_candidates(rest, u), pop() give, and that is
+    # every v in rest completing R + {u, v}; C holds exactly the vertices that
+    # extend R, as at every listing node, and R is reached by random pushes
+    spec = MotifSpec(family, s, 1, 11)
+    rnd = random.Random(8000 + s)
+    closed = 0
+    for seed in range(12):
+        g = random_gnp(11, (0.4, 0.6, 0.8)[seed % 3], seed=8000 + seed)
+        state = cls(g.adjacency_masks(), s)
+        while True:
+            C = sum(1 << v for v in range(g.n)
+                    if v not in state.R and is_hcs(spec, g, state.R + [v]))
+            if not C or len(state.R) == 5:
+                break
+            before = _snapshot(state)
+            close = state.closer(C)
+            for u in iter_bits(C):
+                later = C & ~((2 << u) - 1)
+                completes = sum(1 << v for v in iter_bits(later)
+                                if is_hcs(spec, g, state.R + [u, v]))
+                for t in list(iter_bits(later)) + [g.n]:
+                    rest = later & ~((1 << t) - 1)
+                    got = close(u, rest)
+                    assert _snapshot(state) == before
+                    if cls.keeps_counts:
+                        state.push(u, rest)
+                    else:
+                        state.push(u)
+                    assert got == state.filter_candidates(rest, u), (seed, state.R, u, rest)
+                    state.pop()
+                    assert got == completes & rest, (seed, state.R, u, rest)
+                    closed += got.bit_count()
+            state.push(rnd.choice(list(iter_bits(C))))
+    assert closed > 0
 
 
 class TestHereditariness:

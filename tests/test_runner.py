@@ -65,6 +65,21 @@ def test_counter_overflow_leaves_the_pool_usable(engine):
     assert engine(g, spec, threads=2).counts == engine(g, spec).counts
 
 
+def test_prune_bound_fault_changes_listing_counts():
+    """A listing at q >= 4 still evaluates its branch bound above the last
+    level, so a too-tight bound changes its count."""
+    g = random_gnp(*FAULT_GRAPH[:2], seed=FAULT_GRAPH[2])
+    spec = MotifSpec.single(*FAULT_SPEC)
+    clean = count_by_listing(g, spec).count
+    inject_fault("prune-bound")
+    try:
+        faulty = count_by_listing(g, spec).count
+    finally:
+        inject_fault(None)
+    assert faulty < clean
+    assert count_by_listing(g, spec).count == clean
+
+
 def test_chunks_are_submitted_costliest_first(monkeypatch):
     """The partition stays contiguous runs of the order, submitted by
     descending sum over their roots of 2 ** (higher-rank neighbors)."""
