@@ -10,8 +10,10 @@ pruning on. Each spec runs twice: first on a fresh copy of the order, which
 still has to fill whatever the order memoises, then again on the same copy. Every
 line gives the times in seconds (wall clock) and the count, cand_pre,
 cand_now and nodes, which must be the same in both runs and across
-checkouts that search the same trees. Generating the graph is not timed; at
-N = 100,000 it takes about a minute.
+checkouts that search the same trees. A third run per spec, on the same
+warm copy with threads=2, gives the parallel time and its speedup over the
+warm serial run; the first of these calls also starts the process pool.
+Generating the graph is not timed; at N = 100,000 it takes about a minute.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def main() -> int:
             st = run.stats
             print(f"{spec.describe()} {label} {t:.2f} s count={run.count} "
                   f"cand_pre={st.cand_pre} cand_now={st.cand_now} nodes={st.nodes}")
+        par, t_par = timed(count_by_pivot, g, spec, order=fresh, threads=2)
+        print(f"{spec.describe()} threads=2 {t_par:.2f} s speedup {t / t_par:.2f}x "
+              f"count={par.count} nodes={par.stats.nodes}")
     return 0
 
 

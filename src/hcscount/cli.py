@@ -77,8 +77,6 @@ def cmd_count(args) -> int:
     threads = resolve_threads(args.threads)
     g, order = _load(args.input)
     if args.method == "list":
-        if spec.is_range:
-            raise SpecError("--method list supports a single --q; use the pivot engine for ranges")
         run = count_by_listing(g, spec, prune=not args.no_prune, threads=threads, order=order)
     else:
         run = count_by_pivot(g, spec, prune=not args.no_prune, threads=threads, order=order)

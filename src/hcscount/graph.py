@@ -148,7 +148,8 @@ def from_edges(pairs: Iterable[tuple[int, int]], stats: LoadStats | None = None,
 
 
 def load_edge_list(source: str | Path | IO) -> Graph:
-    """Parse SNAP-style edge-list text: '#' comments, two integer tokens per line."""
+    """Parse SNAP-style edge-list text: '#' comments, two ASCII decimal integer
+    tokens per line. A malformed line raises ParseError with its line number."""
     close = False
     if isinstance(source, (str, Path)):
         fh = open(source, "rb")
@@ -158,18 +159,23 @@ def load_edge_list(source: str | Path | IO) -> Graph:
     stats = LoadStats()
     pairs: list[tuple[int, int]] = []
     try:
+        # positional decode arguments and line[0] are cheaper per line than the
+        # keyword and startswith forms, and pay for the token check below
         for line_no, raw in enumerate(fh, start=1):
             if isinstance(raw, bytes):
-                raw = raw.decode("utf-8", errors="replace")
+                raw = raw.decode("utf-8", "replace")
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
+            if line[0] == "#":
                 stats.comment_lines += 1
                 continue
             tok = line.split()
             if len(tok) != 2:
                 raise ParseError(f"expected two integer tokens, got {len(tok)}", line_no)
+            # int() also takes digit-group underscores and non-ASCII digits
+            if "_" in line or not line.isascii():
+                raise ParseError(f"non-decimal token in {tok!r}", line_no)
             try:
                 u, v = int(tok[0]), int(tok[1])
             except ValueError:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import partial
 
 from .graph import DegeneracyOrder, Graph, RootNeighborhood
-from .motifs import MotifSpec, iter_bits
+from .motifs import MotifSpec, SpecError, iter_bits
 from .pivot import FAMILY_RULES
 from .runner import Run, RunStats, prepare_root, run_over_roots
 
@@ -111,10 +111,11 @@ def _list_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec, pru
 
 def count_by_listing(g: Graph, spec: MotifSpec, *, prune: bool = True,
                      threads: int = 1, order: DegeneracyOrder | None = None) -> Run:
-    """Count HCSs of one exact size by listing each exactly once."""
+    """Count HCSs of one exact size by listing each exactly once; a range
+    spec is a SpecError."""
     spec.validate()
     if spec.is_range:
-        raise ValueError("the listing engine counts a single size; use the pivot engine for ranges")
+        raise SpecError("the listing engine counts a single size; use the pivot engine for ranges")
     if spec.q_low == 1:
         return Run(spec, {1: g.n}, RunStats(), prune)
     return run_over_roots(_list_root, g, spec, prune=prune, threads=threads, order=order)
@@ -130,7 +131,7 @@ def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
     """
     spec.validate()
     if spec.is_range:
-        raise ValueError("enumerate_by_listing takes a single size")
+        raise SpecError("enumerate_by_listing takes a single size")
     if spec.q_low == 1:
         for u in range(g.n):
             sink((u,))

@@ -8,8 +8,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import pruning
 from .graph import (DegeneracyOrder, Graph, RootNeighborhood,
                     build_root_neighborhood, collect_candidates, degeneracy_order)
@@ -242,35 +240,21 @@ def _drop_pool() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _chunk_costs(g: Graph, order: DegeneracyOrder, size: int) -> list[float]:
-    """Estimated cost of each run of `size` consecutive roots in the order.
-
-    A root's search is bounded by 2 to the size of its universe, whose 1-hop
-    part is the root's number of higher-rank neighbors, so a chunk costs
-    about the sum of 2 ** that number over its roots (capped so that the sum
-    stays finite). On power-law graphs the last roots in degeneracy order
-    sit in the densest core and cost the most; on G(n, p) the first ones do,
-    since every other vertex still outranks them.
-    """
-    rank = order.rank
-    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    later = np.bincount(src[rank[g.indices] > rank[src]], minlength=g.n)
-    weight = np.exp2(np.minimum(later, 900))[order.order]
-    return np.add.reduceat(weight, np.arange(0, len(weight), size)).tolist()
-
-
 def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: int,
                    order: DegeneracyOrder | None = None, local: str | None = None) -> Run:
     """Run root_fn(g, order, root, spec, prune, run) over every root and
     return the merged Run, timed and checked against the counter limit.
 
     Roots are processed in degeneracy-rank order; with threads == 1 the call
-    runs inline (canonical recursion for debugging). With threads > 1 the
-    roots are cut into threads * 4 contiguous chunks, which go to the
-    process's shared pool, each with the run's bound fault. They are
-    submitted costliest first (by _chunk_costs), so that the costliest chunk
-    does not run alone at the end of the call. The order's ball-size memo,
-    which pruned runs with s >= 1 read, is filled before any chunk is sent.
+    runs inline (canonical recursion for debugging). With threads > 1 each
+    of n = min(threads, #roots) workers gets one strided chunk, roots[k::n]
+    for k < n, on the process's shared pool, with the run's bound fault.
+    Roots are independent, and striding spreads the costly ones (the dense
+    core that peels last on power-law graphs, the early roots of G(n, p))
+    over every chunk; one chunk per worker pickles the graph and the order
+    once per worker. The order's ball-size memo, which pruned runs with
+    s >= 1 read, is filled before any chunk is sent. Counts, stats and
+    locals are sums, so the merged Run does not depend on the partition.
     Counts only grow, so the merged counts exceed the counter limit exactly
     when some chunk's did.
     """
@@ -284,15 +268,13 @@ def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: 
         run = _run_chunk(pruning.BOUND_FAULT, root_fn, g, order, spec, prune, local, roots)
     else:
         run = Run.empty(g.n, spec, prune, local)
-        n_chunks = threads * 4
-        size = max(1, (len(roots) + n_chunks - 1) // n_chunks)
-        costs = _chunk_costs(g, order, size)
+        n = min(threads, len(roots))
         pool = _shared_pool(threads)
         futures = []
         try:
-            for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
+            for k in range(n):
                 futures.append(pool.submit(_run_chunk, pruning.BOUND_FAULT, root_fn, g, order,
-                                           spec, prune, local, roots[k * size:(k + 1) * size]))
+                                           spec, prune, local, roots[k::n]))
             for f in futures:
                 run.merge(f.result())
         except BrokenProcessPool:

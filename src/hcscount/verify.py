@@ -81,13 +81,11 @@ class VerifyReport:
         return not self.mismatches
 
 
-def _disagreement(g: Graph, spec: MotifSpec, oracle, *, check_local: bool,
-                  threads: int = 1):
+def _disagreement(g: Graph, spec: MotifSpec, oracle, *, check_local: bool):
     """Return (kind, oracle, listing, pivot) of the first disagreement, or None."""
     q = spec.q_low
-    lst = count_by_listing(g, spec, threads=threads).count
-    piv = count_by_pivot(g, spec, threads=threads,
-                         local="both" if check_local else None)
+    lst = count_by_listing(g, spec).count
+    piv = count_by_pivot(g, spec, local="both" if check_local else None)
     if not (oracle.total(q) == lst == piv.total(q)):
         return ("total", oracle.total(q), lst, piv.total(q))
     if check_local:
@@ -98,11 +96,9 @@ def _disagreement(g: Graph, spec: MotifSpec, oracle, *, check_local: bool,
     return None
 
 
-def _first_disagreement(g: Graph, spec: MotifSpec, *, check_local: bool,
-                        threads: int = 1):
+def _first_disagreement(g: Graph, spec: MotifSpec, *, check_local: bool):
     tally = sweep(g, spec.s, spec.q_high)
-    return _disagreement(g, spec, tally.result_for(spec, g.n),
-                         check_local=check_local, threads=threads)
+    return _disagreement(g, spec, tally.result_for(spec, g.n), check_local=check_local)
 
 
 def _minimize(g: Graph, spec: MotifSpec, check_local: bool) -> Graph:
@@ -128,16 +124,14 @@ def _minimize(g: Graph, spec: MotifSpec, check_local: bool) -> Graph:
 
 
 def check_graph(g: Graph, specs: list[MotifSpec], report: VerifyReport, *,
-                check_local: bool = True, minimize: bool = True,
-                threads: int = 1) -> None:
+                check_local: bool = True, minimize: bool = True) -> None:
     report.graphs_checked += 1
     s_env = max(spec.s for spec in specs)
     q_env = max(spec.q_high for spec in specs)
     tally = sweep(g, s_env, q_env)
     for spec in specs:
         report.specs_checked += 1
-        found = _disagreement(g, spec, tally.result_for(spec, g.n),
-                              check_local=check_local, threads=threads)
+        found = _disagreement(g, spec, tally.result_for(spec, g.n), check_local=check_local)
         if found is None:
             continue
         kind, o, l, p = found
@@ -151,8 +145,7 @@ def check_graph(g: Graph, specs: list[MotifSpec], report: VerifyReport, *,
 
 def run_verification(*, seeds: int = 10, graph: Graph | None = None,
                      s_values=(0, 1, 2), q_max: int = 7,
-                     fault: str | None = None, check_local: bool = True,
-                     threads: int = 1) -> VerifyReport:
+                     fault: str | None = None, check_local: bool = True) -> VerifyReport:
     """Run the matrix over `seeds` random graphs (or one supplied graph).
 
     A run that would check nothing is refused: an empty spec matrix is a
@@ -171,13 +164,13 @@ def run_verification(*, seeds: int = 10, graph: Graph | None = None,
     inject_fault(fault)
     try:
         if graph is not None:
-            check_graph(graph, specs, report, check_local=check_local, threads=threads)
+            check_graph(graph, specs, report, check_local=check_local)
         else:
             for i in range(seeds):
                 n = 12 + (i * 7) % 19
                 p = (0.2, 0.4, 0.6)[i % 3]
                 g = random_gnp(n, p, seed=90_000 + i)
-                check_graph(g, specs, report, check_local=check_local, threads=threads)
+                check_graph(g, specs, report, check_local=check_local)
     finally:
         inject_fault(None)
     return report

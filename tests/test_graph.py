@@ -42,6 +42,13 @@ class TestLoadEdgeList:
             load_edge_list(io.BytesIO(b"0 1\n1 x\n"))
         assert ei.value.line_no == 2
 
+    @pytest.mark.parametrize("line", ["1_0 2", "\uff13 4", "5 \u0663"],
+                             ids=["underscore", "fullwidth", "arabic-indic"])
+    def test_non_decimal_token_reports_line(self, line):
+        with pytest.raises(ParseError) as ei:
+            load_edge_list(io.BytesIO(f"0 1\n{line}\n".encode()))
+        assert ei.value.line_no == 2
+
     def test_wrong_token_count_reports_line(self):
         with pytest.raises(ParseError) as ei:
             load_edge_list(io.BytesIO(b"0 1\n4\n"))

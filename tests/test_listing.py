@@ -6,7 +6,7 @@ import pytest
 
 from hcscount import (MotifSpec, brute_force_count, complete_graph, count_by_listing,
                       count_by_pivot, cycle_graph, degeneracy_order,
-                      enumerate_by_listing, from_edges, is_hcs, random_gnp)
+                      SpecError, enumerate_by_listing, from_edges, is_hcs, random_gnp)
 from conftest import REF7_COUNTS, reference_graph
 
 
@@ -37,8 +37,11 @@ class TestCountByListing:
         assert count_by_listing(g, MotifSpec.single("clique", 0, 2)).count == g.m
 
     def test_rejects_range_spec(self):
-        with pytest.raises(ValueError):
-            count_by_listing(complete_graph(4), MotifSpec("clique", 0, 2, 3))
+        spec = MotifSpec("clique", 0, 2, 3)
+        with pytest.raises(SpecError):
+            count_by_listing(complete_graph(4), spec)
+        with pytest.raises(SpecError):
+            enumerate_by_listing(complete_graph(4), spec, [].append)
 
     def test_s0_families_agree_with_clique(self):
         for seed in range(6):

@@ -43,11 +43,12 @@ class TestExitCodes:
 
     def test_parse_error_is_1(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
-        p.write_text("0 1\noops here\n")
-        rc = main(["count", "--input", str(p), "--motif", "clique",
-                   "--s", "0", "--q", "3"])
-        assert rc == 1
-        assert "line 2" in capsys.readouterr().err
+        for bad in ("oops here", "1_0 2", "\uff13 4"):
+            p.write_text(f"0 1\n{bad}\n", encoding="utf-8")
+            rc = main(["count", "--input", str(p), "--motif", "clique",
+                       "--s", "0", "--q", "3"])
+            assert rc == 1, bad
+            assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("vid", [2**63, -2**63 - 1], ids=["above", "below"])
     def test_vertex_id_outside_int64_is_1(self, tmp_path, capsys, vid):

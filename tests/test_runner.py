@@ -80,30 +80,25 @@ def test_prune_bound_fault_changes_listing_counts():
     assert count_by_listing(g, spec).count == clean
 
 
-def test_chunks_are_submitted_costliest_first(monkeypatch):
-    """The partition stays contiguous runs of the order, submitted by
-    descending sum over their roots of 2 ** (higher-rank neighbors)."""
-    # a long path peels first and a K12 last, so a late chunk is costliest;
-    # in G(n, p) the early roots are outranked by most of their neighbors
+def test_each_worker_gets_one_strided_chunk(monkeypatch):
+    """Chunk k of n = min(threads, roots) is order[k::n], submitted in index
+    order: every root once and no chunk empty, also with fewer roots than
+    threads."""
     tail = from_edges([(i, i + 1) for i in range(30)]
                       + [(u, v) for u in range(30, 42) for v in range(u + 1, 42)])
     dense = random_gnp(30, 0.5, seed=5)
-    for g, costliest in ((tail, 5), (dense, 1)):
+    five_roots = from_edges([(i, i + 1) for i in range(4)])
+    cases = [(tail, 2), (tail, 3), (dense, 2), (dense, 3), (five_roots, 8)]
+    for g, threads in cases:
         order = degeneracy_order(g).order.tolist()
-        rank = {u: i for i, u in enumerate(order)}
         pool = _InlinePool()
         monkeypatch.setattr(runner, "_shared_pool", lambda threads: pool)
         runner.run_over_roots(_skip_root, g, MotifSpec.single("clique", 0, 3), prune=True,
-                              threads=2)
-        parts = pool.submitted
-        chunks = sorted(parts, key=lambda part: rank[part[0]])
-        assert [r for part in chunks for r in part] == order
-        assert len({len(part) for part in chunks[:-1]}) == 1
-
-        def cost(part):
-            return sum(2 ** sum(rank[v] > rank[u] for v in g.nbrs[u]) for u in part)
-        assert [cost(p) for p in parts] == sorted(map(cost, parts), reverse=True)
-        assert parts[0] == chunks[costliest]
+                              threads=threads)
+        n = min(threads, len(order))
+        assert pool.submitted == [order[k::n] for k in range(n)]
+        assert sorted(r for part in pool.submitted for r in part) == sorted(order)
+        assert all(pool.submitted)
 
 
 def test_broken_pool_is_replaced():
