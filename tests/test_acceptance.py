@@ -91,6 +91,26 @@ def test_three_way_agreement_property_gate():
               f"locals included, {time.time() - t0:.0f}s")
 
 
+def test_oracle_matches_pivot_on_sparse_graph():
+    """Oracle = pivot, totals and locals, on a sparse G(120, 0.05): the
+    oracle's push walks only the live candidates and S, which here is far
+    fewer vertices than the n - 1 of a full walk. Seed 36 gives the graph
+    two 4-cliques, so that every spec has results."""
+    g = random_gnp(120, 0.05, seed=36)
+    tally = sweep(g, 2, 5)
+    found = {}
+    for spec in (MotifSpec.single("clique", 0, 4), MotifSpec.single("dclique", 2, 4),
+                 MotifSpec.single("plex", 2, 5)):
+        oracle = tally.result_for(spec, g.n)
+        piv = count_by_pivot(g, spec, local="both")
+        assert oracle.totals == piv.counts
+        assert oracle.per_vertex == piv.local.per_vertex
+        assert oracle.per_edge == piv.local.per_edge
+        found[spec.describe()] = oracle.total(spec.q_low)
+    assert all(found.values())
+    _passline("sparse oracle = pivot", f"G(120, 0.05), {found}")
+
+
 def test_reference_fixture_counts():
     """The transcribed 7-vertex example: all five printed counts, exact."""
     g = reference_graph()

@@ -1,10 +1,13 @@
 """Oracle self-checks: definitional counts, sweep consistency, guards."""
 
+from itertools import combinations
+
 import pytest
 
 from hcscount import (MotifSpec, OracleInfeasibleError, brute_force_count,
                       brute_force_pivot_check, complete_graph, count_by_listing,
                       count_by_pivot, random_gnp, sweep)
+from hcscount.motifs import is_hcs, missing_edges, vertex_deficiency
 from conftest import REF7_COUNTS, reference_graph
 
 
@@ -58,6 +61,75 @@ class TestSweep:
                 assert a.totals == b.totals
                 assert a.per_vertex == b.per_vertex
                 assert a.per_edge == b.per_edge
+
+
+def _tallies(g, sets):
+    """Totals per size, per-vertex counts and per-edge counts of sets."""
+    totals: dict[int, int] = {}
+    per_vertex = [0] * g.n
+    per_edge: dict[tuple[int, int], int] = {}
+    for T in sets:
+        totals[len(T)] = totals.get(len(T), 0) + 1
+        for u in T:
+            per_vertex[u] += 1
+        for u, v in combinations(T, 2):
+            if g.has_edge(u, v):
+                per_edge[(u, v)] = per_edge.get((u, v), 0) + 1
+    return totals, per_vertex, per_edge
+
+
+class TestAgainstDefinition:
+    """The oracle against every vertex subset, tested by is_hcs alone."""
+
+    S_MAX, Q_MAX = 2, 6
+
+    @pytest.fixture(params=[(12, 0.3), (13, 0.3), (12, 0.6), (13, 0.6),
+                            (12, 0.9), (13, 0.9)],
+                    ids=lambda c: f"n{c[0]}-p{c[1]}")
+    def case(self, request):
+        n, p = request.param
+        g = random_gnp(n, p, seed=int(100 * p) + n)
+        loosest = MotifSpec("plex", self.S_MAX, 1, self.Q_MAX)
+        valid = [T for q in range(1, self.Q_MAX + 1)
+                 for T in combinations(range(n), q) if is_hcs(loosest, g, T)]
+        return g, valid
+
+    def test_sweep_buckets(self, case):
+        g, valid = case
+        cap = self.S_MAX + 1
+        # the sweep's universe: sets within two hops of their least member
+        nbrs = [{v for v in range(g.n) if g.has_edge(u, v)} for u in range(g.n)]
+        buckets: dict[tuple[int, int, int], list] = {}
+        for T in valid:
+            r = T[0]
+            if not all(v == r or v in nbrs[r] or nbrs[v] & nbrs[r] for v in T):
+                continue
+            mm = missing_edges(g, T)
+            md = max(vertex_deficiency(g, u, T) for u in T)
+            buckets.setdefault((len(T), min(mm, cap), md), []).append(T)
+        tally = sweep(g, self.S_MAX, self.Q_MAX)
+        assert sorted(tally.totals) == sorted(buckets)
+        for key, sets in buckets.items():
+            totals, per_vertex, per_edge = _tallies(g, sets)
+            assert tally.totals[key] == totals[key[0]]
+            assert tally.verts[key] == per_vertex
+            assert tally.edges[key] == [per_edge.get(e, 0) for e in tally.edge_ids]
+
+    def test_brute_force_count(self, case):
+        g, valid = case
+        tally = sweep(g, self.S_MAX, self.Q_MAX)
+        for fam, s, lo in (("clique", 0, 2), ("dclique", 1, 3), ("dclique", 2, 4),
+                           ("plex", 1, 3), ("plex", 2, 5)):
+            spec = MotifSpec(fam, s, lo, self.Q_MAX)
+            want = sorted(T for T in valid if lo <= len(T) and is_hcs(spec, g, T))
+            totals, per_vertex, per_edge = _tallies(g, want)
+            totals = {q: totals.get(q, 0) for q in spec.sizes}
+            r = brute_force_count(g, spec, collect_sets=True)
+            assert sorted(r.sets) == want
+            for got in (r, tally.result_for(spec, g.n)):
+                assert got.totals == totals
+                assert got.per_vertex == per_vertex
+                assert got.per_edge == per_edge
 
 
 class TestPivotCheck:
