@@ -4,15 +4,17 @@
 Usage: PYTHONPATH=src python3 scripts/scale_check.py N
 
 Writes gen.social(1, tmp, N) to a temporary directory (N is the size asked
-for; the generator keeps a few percent fewer vertices), loads it and orders
-it, then counts dclique(1,9) and plex(1,9) serially with the pivot engine,
-pruning on. Each spec runs twice: first on a fresh copy of the order, which
-still has to fill whatever the order memoises, then again on the same copy. Every
-line gives the times in seconds (wall clock) and the count, cand_pre,
-cand_now and nodes, which must be the same in both runs and across
-checkouts that search the same trees. A third run per spec, on the same
-warm copy with threads=2, gives the parallel time and its speedup over the
-warm serial run; the first of these calls also starts the process pool.
+for; the generator keeps a few percent fewer vertices), loads it, orders it
+and counts its pairs within distance 2 (the cand_pre of every s >= 1 run,
+computed once per graph), each timed on its own, then counts dclique(1,9)
+and plex(1,9) serially with the pivot engine, pruning on. Each spec runs
+twice: first on a fresh copy of the order, which still has to build the
+lists it caches, then again on the same copy. Every line gives the times in
+seconds (wall clock) and the count, cand_pre, cand_now and nodes, which must
+be the same in both runs and across checkouts that search the same trees. A
+third run per spec, on the same warm copy with threads=2, gives the parallel
+time and its speedup over the warm serial run; the first of these calls also
+starts the process pool.
 Generating the graph is not timed; at N = 100,000 it takes about a minute.
 """
 
@@ -50,6 +52,8 @@ def main() -> int:
     order, t_order = timed(degeneracy_order, g)
     print(f"social n={g.n} m={g.m} degeneracy={order.degeneracy} "
           f"load {t_load:.2f} s order {t_order:.2f} s")
+    pairs, t_pairs = timed(lambda: g.pairs_within_two)
+    print(f"pairs within distance 2: {pairs} in {t_pairs:.2f} s")
     for spec in SPECS:
         fresh = DegeneracyOrder(order.order, order.rank, order.degeneracy, order.core_numbers)
         for label in ("first", "repeat"):

@@ -86,10 +86,27 @@ class Graph:
         bounds = self.indptr.tolist()
         return [indices[bounds[u]:bounds[u + 1]] for u in range(self.n)]
 
+    @cached_property
+    def pairs_within_two(self) -> int:
+        """The number of vertex pairs at distance 1 or 2, computed on first use.
+
+        Each pair is counted at its smaller id: a vertex counts the union of
+        the above-its-id parts of its own list and of its neighbors' lists.
+        """
+        adj = self.nbrs
+        total = 0
+        for u, near in enumerate(adj):
+            ball = set(near[bisect_right(near, u):])
+            for nb in map(adj.__getitem__, near):
+                ball.update(nb[bisect_right(nb, u):])
+            total += len(ball)
+        return total
+
     def __getstate__(self) -> dict:
-        # pool workers receive the CSR arrays only and rebuild the lists
+        # pool workers receive the CSR arrays only and rebuild a cache on use
         state = self.__dict__.copy()
         state.pop("nbrs", None)
+        state.pop("pairs_within_two", None)
         return state
 
     def adjacency_masks(self) -> list[int]:
@@ -199,63 +216,18 @@ class DegeneracyOrder:
     ``order`` lists the roots that runs over this order visit; ``rank`` covers
     every vertex of the graph. A sub-order holds a slice of a full order's
     roots with the full ``rank``.
-
-    It also memoises each root's 2-hop ball size (``ball_sizes``) on first
-    need. The memo stays in the pickled state, so pool workers receive it
-    and never rebuild it; ``rank_list`` does not, and each worker rebuilds it.
     """
 
     order: np.ndarray
     rank: np.ndarray
     degeneracy: int
     core_numbers: np.ndarray
-    _ball_sizes: list[int] | None = field(default=None, init=False, repr=False,
-                                          compare=False)
 
     @cached_property
     def rank_list(self) -> list[int]:
         """``rank`` as Python ints, built on first use; per-root preparation
         reads it one vertex at a time."""
         return self.rank.tolist()
-
-    def ball_sizes(self, g: Graph) -> list[int]:
-        """Per vertex, the number of distinct higher-rank vertices within
-        distance 2 of it (0 for a vertex that is not a root of this order).
-
-        This is a root's raw candidate count for s >= 1, and over all roots of
-        a full order it sums to the number of vertex pairs within distance 2.
-        The first call fills the memo in one pass over the roots: each
-        neighbor list a root reads (its own and its neighbors') is sorted by
-        rank, so the root takes from each only the part above its rank,
-        found by bisection, and counts the union of those parts. Only those
-        lists are sorted, so a sub-order pays for its own roots.
-        """
-        if self._ball_sizes is None:
-            rank = self.rank_list
-            adj = g.nbrs
-            deg = np.diff(g.indptr)
-            src = np.repeat(np.arange(g.n, dtype=np.int64), deg)
-            read = np.zeros(g.n, dtype=bool)
-            read[self.order] = True
-            read[g.indices[read[src]]] = True
-            arcs = read[src]
-            keys = np.sort(src[arcs] * g.n + self.rank[g.indices[arcs]])
-            by_rank = (keys % g.n).tolist()
-            ids = np.flatnonzero(read)
-            ends = np.cumsum(deg[ids]).tolist()
-            ranks: list[list[int]] = [[]] * g.n
-            for u, e in zip(ids.tolist(), ends):
-                ranks[u] = by_rank[e - len(adj[u]):e]
-            sizes = [0] * len(rank)
-            for root in self.order.tolist():
-                r = rank[root]
-                own = ranks[root]
-                ball = set(own[bisect_right(own, r):])
-                for nb in map(ranks.__getitem__, adj[root]):
-                    ball.update(nb[bisect_right(nb, r):])
-                sizes[root] = len(ball)
-            self._ball_sizes = sizes
-        return self._ball_sizes
 
     def __getstate__(self) -> dict:
         # like Graph.nbrs: pool workers rebuild the list themselves

@@ -33,12 +33,14 @@ def check_counter(value: int) -> None:
 class RunStats:
     """Search statistics, summed over roots.
 
-    cand_pre is the raw candidate count before reduction: the roots'
-    higher-rank neighbors for s = 0, their higher-rank 2-hop balls for
-    s >= 1. Each edge, or each pair of vertices within distance 2, is counted
-    once, at its lower-rank end, so over all roots cand_pre is m or the
-    number of such pairs, whatever the order. cand_now counts the candidates
-    left after reduction (all of them with pruning off).
+    cand_pre is the raw candidate count before reduction, a property of the
+    graph alone: m for s = 0 and the number of vertex pairs within distance 2
+    (Graph.pairs_within_two) for s >= 1. Over a full order it is the sum of
+    the roots' higher-rank neighbors or higher-rank 2-hop balls, each pair
+    counted at its lower-rank end; run_over_roots sets it once per run, so a
+    run over a sub-order reports the whole graph's total too. cand_now sums
+    the candidates each root keeps after reduction (all of them with pruning
+    off).
     """
 
     nodes: int = 0
@@ -157,7 +159,7 @@ def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,
     non-edge already exhausts every budget. Range specs reduce with q_low,
     the weakest target in the range. A root whose candidates cannot reach
     q_low (1 + |candidates| < q_low) gets no universe: it returns None, and
-    only its candidate counts go into stats.
+    only its cand_now goes into stats.
 
     With pruning off the universe is the root's whole higher-rank 2-hop ball
     (collect_candidates). With pruning on it is built from the reduced core
@@ -165,36 +167,32 @@ def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,
     reduce_candidates, without building the ball.
     """
     if prune:
-        one, two, pre = _reduce_from_core(g, order, root, spec)
+        one, two = _reduce_from_core(g, order, root, spec)
     else:
         one, two = collect_candidates(g, order, root, spec.s >= 1)
-        pre = len(one) + len(two)
-    stats.cand_pre += pre
     stats.cand_now += len(one) + len(two)
     if 1 + len(one) + len(two) < spec.q_low:
         return None
-    return build_root_neighborhood(g, root, one, two, cand_pre=pre)
+    return build_root_neighborhood(g, root, one, two)
 
 
 def _reduce_from_core(g: Graph, order: DegeneracyOrder, root: int,
-                      spec: MotifSpec) -> tuple[list[int], list[int], int]:
-    """A root's reduced (one, two) and its raw candidate count.
+                      spec: MotifSpec) -> tuple[list[int], list[int]]:
+    """A root's reduced (one, two).
 
     The higher-rank neighbors are peeled to the core. Each 2-hop survivor
     needs `need` neighbors in that core, at least one on every valid spec,
     so it lies on some core member's neighbor list: counting, over those
     lists, the hits on each higher-rank non-neighbor of the root finds every
-    survivor. The raw count for s >= 1 is the root's ball size, memoised on
-    the order.
+    survivor.
     """
     s, family = spec.s, spec.family
     one, _ = collect_candidates(g, order, root, False)
-    pre = order.ball_sizes(g)[root] if s >= 1 else len(one)
     core_k, need = pruning.thresholds(family, spec.q_low, s)
     if core_k > 0:
         one = _induced_core(g, one, core_k)
     if family == "clique" or s == 0 or len(one) < need:
-        return one, [], pre
+        return one, []
     rank = order.rank_list
     r = rank[root]
     adj = g.nbrs
@@ -204,7 +202,7 @@ def _reduce_from_core(g: Graph, order: DegeneracyOrder, root: int,
         for w in adj[u]:
             if rank[w] > r and w not in near_set:
                 hits[w] = hits.get(w, 0) + 1
-    return one, [w for w, c in hits.items() if c >= need], pre
+    return one, [w for w, c in hits.items() if c >= need]
 
 
 def _run_chunk(bound_fault: int, root_fn, g: Graph, order: DegeneracyOrder,
@@ -245,24 +243,22 @@ def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: 
     """Run root_fn(g, order, root, spec, prune, run) over every root and
     return the merged Run, timed and checked against the counter limit.
 
-    Roots are processed in degeneracy-rank order; with threads == 1 the call
-    runs inline (canonical recursion for debugging). With threads > 1 each
-    of n = min(threads, #roots) workers gets one strided chunk, roots[k::n]
-    for k < n, on the process's shared pool, with the run's bound fault.
+    Roots are processed in degeneracy-rank order; with threads == 1, or with
+    fewer than 4 roots, the call runs inline (canonical recursion for
+    debugging). Otherwise each of n = min(threads, #roots) workers gets one
+    strided chunk, roots[k::n] for k < n, on the process's shared pool, with
+    the run's bound fault.
     Roots are independent, and striding spreads the costly ones (the dense
     core that peels last on power-law graphs, the early roots of G(n, p))
     over every chunk; one chunk per worker pickles the graph and the order
-    once per worker. The order's ball-size memo, which pruned runs with
-    s >= 1 read, is filled before any chunk is sent. Counts, stats and
-    locals are sums, so the merged Run does not depend on the partition.
+    once per worker. Counts, stats and locals are sums, so the merged Run
+    does not depend on the partition; cand_pre is set once, from the graph.
     Counts only grow, so the merged counts exceed the counter limit exactly
     when some chunk's did.
     """
     t0 = time.perf_counter()
     if order is None:
         order = degeneracy_order(g)
-    if prune and spec.s >= 1:
-        order.ball_sizes(g)  # fill the memo here, so that every chunk carries it
     roots = order.order.tolist()
     if threads <= 1 or len(roots) < 4:
         run = _run_chunk(pruning.BOUND_FAULT, root_fn, g, order, spec, prune, local, roots)
@@ -283,6 +279,7 @@ def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: 
         finally:
             for f in futures:
                 f.cancel()
+    run.stats.cand_pre = g.pairs_within_two if spec.s >= 1 else g.m
     check_counter(max(run.counts.values(), default=0))
     run.stats.wall_time = time.perf_counter() - t0
     return run

@@ -56,17 +56,16 @@ class Mismatch:
     pivot_value: object
     n: int
     edges: list[tuple[int, int]]
-    minimized_n: int | None = None
-    minimized_edges: list[tuple[int, int]] | None = None
+    minimized_n: int
+    minimized_edges: list[tuple[int, int]]
 
     def describe(self) -> str:
         lines = [
             f"mismatch [{self.kind}] for {self.spec.describe()}:",
             f"  oracle={self.oracle_value} listing={self.listing_value} pivot={self.pivot_value}",
             f"  graph: n={self.n} edges={self.edges}",
+            f"  minimized: n={self.minimized_n} edges={self.minimized_edges}",
         ]
-        if self.minimized_edges is not None:
-            lines.append(f"  minimized: n={self.minimized_n} edges={self.minimized_edges}")
         return "\n".join(lines)
 
 
@@ -124,7 +123,7 @@ def _minimize(g: Graph, spec: MotifSpec, check_local: bool) -> Graph:
 
 
 def check_graph(g: Graph, specs: list[MotifSpec], report: VerifyReport, *,
-                check_local: bool = True, minimize: bool = True) -> None:
+                check_local: bool = True) -> None:
     report.graphs_checked += 1
     s_env = max(spec.s for spec in specs)
     q_env = max(spec.q_high for spec in specs)
@@ -135,12 +134,9 @@ def check_graph(g: Graph, specs: list[MotifSpec], report: VerifyReport, *,
         if found is None:
             continue
         kind, o, l, p = found
-        mm = Mismatch(spec, kind, o, l, p, g.n, g.edge_list())
-        if minimize:
-            small = _minimize(g, spec, check_local)
-            mm.minimized_n = small.n
-            mm.minimized_edges = small.edge_list()
-        report.mismatches.append(mm)
+        small = _minimize(g, spec, check_local)
+        report.mismatches.append(Mismatch(spec, kind, o, l, p, g.n, g.edge_list(),
+                                          small.n, small.edge_list()))
 
 
 def run_verification(*, seeds: int = 10, graph: Graph | None = None,

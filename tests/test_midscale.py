@@ -107,15 +107,14 @@ def test_prepare_root_equals_collect_then_reduce(mid, spec):
         stats = RunStats()
         rn = prepare_root(g, order, root, spec, True, stats)
         one, two = collect_candidates(g, order, root, spec.s >= 1)
-        pre = len(one) + len(two)
         one, two = reduce_candidates(g, one, two, spec.family, spec.q_low, spec.s)
-        assert (stats.cand_pre, stats.cand_now) == (pre, len(one) + len(two)), root
+        assert stats.cand_now == len(one) + len(two), root
         if 1 + len(one) + len(two) < spec.q_low:
             assert rn is None, root
             continue
-        want = build_root_neighborhood(g, root, one, two, cand_pre=pre)
-        assert ((rn.verts, rn.adj, rn.cand_pre, rn.cand_now)
-                == (want.verts, want.adj, want.cand_pre, want.cand_now)), root
+        want = build_root_neighborhood(g, root, one, two)
+        assert ((rn.verts, rn.adj, rn.cand_now)
+                == (want.verts, want.adj, want.cand_now)), root
 
 
 def test_cand_pre_counts_pairs_within_two(small):

@@ -71,14 +71,13 @@ def naive_neighbors(edges):
 
 
 def naive_prepare(nb, rank, root, spec, prune):
-    """(verts, adj, cand_pre, cand_now) of one root, from sets only."""
+    """(verts, adj, cand_now) of one root, from sets only."""
     near = nb.get(root, set())
     one = {v for v in near if rank[v] > rank[root]}
     two = set()
     if spec.s >= 1:
         for v in near:
             two |= {w for w in nb[v] if w != root and w not in near and rank[w] > rank[root]}
-    cand_pre = len(one) + len(two)
     if prune:
         s, q = spec.s, spec.q_low
         core_k = q - 2 * s - 2 if spec.family == "plex" else q - s - 2
@@ -96,7 +95,7 @@ def naive_prepare(nb, rank, root, spec, prune):
     ids = verts + [root]
     adj = [sum(1 << j for j, x in enumerate(ids) if x in nb.get(u, ()))
            for u in ids]
-    return verts, adj, cand_pre, len(verts)
+    return verts, adj, len(verts)
 
 
 @pytest.mark.parametrize("gi", range(len(GRAPHS)))
@@ -111,12 +110,12 @@ def test_prepare_root_matches_naive_reference(gi):
                 stats = RunStats()
                 rn = prepare_root(g, order, root, spec, prune, stats)
                 want = naive_prepare(nb, rank, root, spec, prune)
-                assert (stats.cand_pre, stats.cand_now) == want[2:], (gi, spec, prune, root)
-                if 1 + want[3] < spec.q_low:
+                assert stats.cand_now == want[2], (gi, spec, prune, root)
+                if 1 + want[2] < spec.q_low:
                     # no result can reach q_low: no universe is built
                     assert rn is None, (gi, spec, prune, root)
                     continue
-                got = ([int(v) for v in rn.verts], rn.adj, rn.cand_pre, rn.cand_now)
+                got = ([int(v) for v in rn.verts], rn.adj, rn.cand_now)
                 assert got == want, (gi, spec, prune, root)
 
 
@@ -126,7 +125,7 @@ def test_planted_graph_reduction_removes_candidates():
     order = degeneracy_order(g)
     for root in order.order.tolist():
         prepare_root(g, order, root, MotifSpec.single("dclique", 1, 6), True, stats)
-    assert stats.cand_now < stats.cand_pre / 2
+    assert stats.cand_now < g.pairs_within_two / 2
 
 
 def test_social_graph_mostly_ends_below_the_two_hop_threshold():
@@ -192,12 +191,13 @@ def permuted_order(g, seed: int) -> DegeneracyOrder:
     return DegeneracyOrder(perm, rank, 0, np.zeros(g.n, dtype=np.int64))
 
 
-@pytest.mark.parametrize("gi", range(len(GRAPHS)))
+@pytest.mark.parametrize("gi", range(len(GRAPHS) + 1))
 def test_cand_pre_counts_pairs_within_two(gi):
     """Every pair at distance <= 2 is a raw candidate of its lower-rank end
     exactly once, so a run's cand_pre is m for s = 0 and the number of such
-    pairs for s >= 1, whatever the order, the prune flag or the threads."""
-    g = GRAPHS[gi]
+    pairs for s >= 1, whatever the order, the prune flag or the threads.
+    The last input has no edges."""
+    g = (GRAPHS + [from_edges([], vertex_universe=np.arange(6))])[gi]
     want = {0: g.m, 1: pairs_within_two(naive_neighbors(g.edge_list()))}
     for make in (degeneracy_order, lambda g: permuted_order(g, seed=gi)):
         for spec in (MotifSpec.single("clique", 0, 4), MotifSpec.single("dclique", 1, 5),
@@ -208,35 +208,38 @@ def test_cand_pre_counts_pairs_within_two(gi):
                     assert run.stats.cand_pre == want[min(spec.s, 1)], (spec, prune, threads)
 
 
-def test_pickled_order_keeps_the_ball_memo():
+def test_pickled_order_stays_arrays_only():
     g = GRAPHS[3]
     order = degeneracy_order(g)
+    before = len(pickle.dumps(order))
     count_by_pivot(g, MotifSpec.single("plex", 1, 4), order=order, threads=1)
-    sizes = order.ball_sizes(g)
     assert "rank_list" in order.__dict__
+    assert len(pickle.dumps(order)) == before
     copy = pickle.loads(pickle.dumps(order))
     assert "rank_list" not in copy.__dict__
-    assert copy._ball_sizes == sizes
-    # the memo is read, not rebuilt: a graph with no edges would give zeros
-    assert copy.ball_sizes(from_edges([], vertex_universe=np.arange(g.n))) == sizes
+    assert copy.rank_list == order.rank_list
 
 
 @pytest.mark.parametrize("gi", [3, 4])
 def test_sub_orders_count_each_root_as_the_full_order(gi):
-    """A sub-order over one chunk's roots (the full rank, a slice of the
-    order) memoises the same per-root counts, and its runs' cand_pre add up
-    to the full run's."""
+    """Sub-orders over consecutive chunks of the roots (the full rank, a
+    slice of the order) count and reduce each root as the full order does:
+    their counts and cand_now add up to the full run's. Each sub-order run
+    reports the whole graph's cand_pre."""
     g = GRAPHS[gi]
     order = degeneracy_order(g)
-    spec = MotifSpec.single("dclique", 1, 5)
+    spec = MotifSpec("dclique", 1, 4, 6)
     full = count_by_pivot(g, spec, order=order, threads=1)
-    sizes = order.ball_sizes(g)
-    total = 0
+    counts = dict.fromkeys(spec.sizes, 0)
+    cand_now = 0
     roots = order.order
     for start in range(0, len(roots), 9):
         sub = DegeneracyOrder(roots[start:start + 9], order.rank, order.degeneracy,
                               order.core_numbers)
-        total += count_by_pivot(g, spec, order=sub, threads=1).stats.cand_pre
-        sub_sizes = sub.ball_sizes(g)
-        assert all(sub_sizes[v] == sizes[v] for v in sub.order.tolist())
-    assert total == full.stats.cand_pre
+        run = count_by_pivot(g, spec, order=sub, threads=1)
+        for q, c in run.counts.items():
+            counts[q] += c
+        cand_now += run.stats.cand_now
+        assert run.stats.cand_pre == full.stats.cand_pre
+    assert counts == full.counts
+    assert cand_now == full.stats.cand_now

@@ -83,18 +83,22 @@ def test_prune_bound_fault_changes_listing_counts():
 def test_each_worker_gets_one_strided_chunk(monkeypatch):
     """Chunk k of n = min(threads, roots) is order[k::n], submitted in index
     order: every root once and no chunk empty, also with fewer roots than
-    threads."""
+    threads. A graph with fewer than 4 roots runs inline."""
     tail = from_edges([(i, i + 1) for i in range(30)]
                       + [(u, v) for u in range(30, 42) for v in range(u + 1, 42)])
     dense = random_gnp(30, 0.5, seed=5)
     five_roots = from_edges([(i, i + 1) for i in range(4)])
-    cases = [(tail, 2), (tail, 3), (dense, 2), (dense, 3), (five_roots, 8)]
+    three_roots = from_edges([(0, 1), (1, 2)])
+    cases = [(tail, 2), (tail, 3), (dense, 2), (dense, 3), (five_roots, 8), (three_roots, 2)]
     for g, threads in cases:
         order = degeneracy_order(g).order.tolist()
         pool = _InlinePool()
         monkeypatch.setattr(runner, "_shared_pool", lambda threads: pool)
         runner.run_over_roots(_skip_root, g, MotifSpec.single("clique", 0, 3), prune=True,
                               threads=threads)
+        if len(order) < 4:
+            assert pool.submitted == []
+            continue
         n = min(threads, len(order))
         assert pool.submitted == [order[k::n] for k in range(n)]
         assert sorted(r for part in pool.submitted for r in part) == sorted(order)
