@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Time set-up and two pivot counts on the benchmark generator's social graph at a given size.
+"""Time set-up and three pivot counts on the benchmark generator's social graph at a given size.
 
 Usage: PYTHONPATH=src python3 scripts/scale_check.py N
 
 Writes gen.social(1, tmp, N) to a temporary directory (N is the size asked
 for; the generator keeps a few percent fewer vertices), loads it, orders it
 and counts its pairs within distance 2 (the cand_pre of every s >= 1 run,
-computed once per graph), each timed on its own, then counts dclique(1,9)
-and plex(1,9) serially with the pivot engine, pruning on. Each spec runs
+computed once per graph), each timed on its own, then counts dclique(1,9),
+plex(1,9) and clique(0,9) serially with the pivot engine, pruning on, so
+that each run visits only the roots in the (q - 1 - s)-core. Each spec runs
 twice: first on a fresh copy of the order, which still has to build the
 lists it caches, then again on the same copy. Every line gives the times in
 seconds (wall clock) and the count, cand_pre, cand_now and nodes, which must
@@ -33,7 +34,8 @@ import gen  # noqa: E402
 from hcscount import (DegeneracyOrder, MotifSpec, count_by_pivot,  # noqa: E402
                       degeneracy_order, load_edge_list)
 
-SPECS = [MotifSpec.single("dclique", 1, 9), MotifSpec.single("plex", 1, 9)]
+SPECS = [MotifSpec.single("dclique", 1, 9), MotifSpec.single("plex", 1, 9),
+         MotifSpec.single("clique", 0, 9)]
 
 
 def timed(fn, *args, **kwargs):

@@ -5,7 +5,8 @@ export), profile (clique-to-HCS ratio vector), verify (three-way agreement).
 
 Exit codes: 0 ok, 1 I/O or parse error, 2 invalid motif or run parameters,
 3 verification mismatch (including a failed local-count self-check),
-4 counter overflow.
+4 counter overflow. An --output or --json path that cannot be written is
+found before the input is loaded (exit 1).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 
 from .graph import ParseError, degeneracy_order, load_edge_list
@@ -65,6 +67,26 @@ def _parse_spec(args, *, need_range: bool = False) -> MotifSpec:
     return spec.validate()
 
 
+class OutputError(OSError):
+    """An --output or --json path cannot be opened for writing."""
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """Fail before loading on an output path that cannot be opened for
+    writing. The check writes nothing: an existing file keeps its bytes, and
+    a file that the check creates is removed again."""
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as e:
+            raise OutputError(f"cannot write {path}: {e.strerror}") from None
+        if not existed:
+            os.remove(path)
+
+
 def _load(path: str):
     g = load_edge_list(path)
     order = degeneracy_order(g)
@@ -75,6 +97,7 @@ def _load(path: str):
 def cmd_count(args) -> int:
     spec = _parse_spec(args)
     threads = resolve_threads(args.threads)
+    _check_outputs(args.json)
     g, order = _load(args.input)
     if args.method == "list":
         run = count_by_listing(g, spec, prune=not args.no_prune, threads=threads, order=order)
@@ -114,6 +137,7 @@ def _local_mismatch(spec: MotifSpec, run, granularity: str) -> str | None:
 def cmd_local(args) -> int:
     spec = _parse_spec(args)
     threads = resolve_threads(args.threads)
+    _check_outputs(args.output, args.json)
     g, order = _load(args.input)
     run = count_by_pivot(g, spec, prune=not args.no_prune, threads=threads,
                          local=args.local, order=order)
@@ -146,6 +170,7 @@ def cmd_local(args) -> int:
 def cmd_profile(args) -> int:
     spec = _parse_spec(args, need_range=True)
     threads = resolve_threads(args.threads)
+    _check_outputs(args.json)
     g, order = _load(args.input)
     prof = hgp_profile(g, spec.family, spec.s, spec.q_low, spec.q_high,
                        prune=not args.no_prune, threads=threads, order=order)
@@ -227,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     except CounterOverflowError as e:
         print(f"counter overflow: {e}", file=sys.stderr)
         return EXIT_OVERFLOW
+    except OutputError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_IO
     except (ParseError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_IO

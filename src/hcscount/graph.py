@@ -213,9 +213,11 @@ def load_edge_list(source: str | Path | IO) -> Graph:
 class DegeneracyOrder:
     """Peeling order: position i holds the vertex of minimum degree in the rest.
 
-    ``order`` lists the roots that runs over this order visit; ``rank`` covers
-    every vertex of the graph. A sub-order holds a slice of a full order's
-    roots with the full ``rank``.
+    ``order`` lists the roots that runs over this order may visit; ``rank``
+    and ``core_numbers`` cover every vertex of the graph. A sub-order holds a
+    slice of a full order's roots with the full ``rank`` and core numbers.
+    Pruned runs skip the roots whose core number is too small to host a
+    result (runner.run_over_roots).
     """
 
     order: np.ndarray

@@ -38,9 +38,12 @@ class RunStats:
     (Graph.pairs_within_two) for s >= 1. Over a full order it is the sum of
     the roots' higher-rank neighbors or higher-rank 2-hop balls, each pair
     counted at its lower-rank end; run_over_roots sets it once per run, so a
-    run over a sub-order reports the whole graph's total too. cand_now sums
-    the candidates each root keeps after reduction (all of them with pruning
-    off).
+    run over a sub-order, or a pruned run that skips roots, reports the whole
+    graph's total too. cand_now sums the candidates each visited root keeps
+    after reduction (all of them with pruning off); a pruned run does not
+    visit the roots outside the (q_low - 1 - s)-core (see run_over_roots),
+    and they add nothing. nodes counts the search nodes of the visited roots
+    only, so a skipped root adds no node either.
     """
 
     nodes: int = 0
@@ -93,7 +96,7 @@ class LocalCounts:
 
 @dataclass
 class Run:
-    """The result of either engine over all roots, or over one chunk of them."""
+    """The result of either engine over the roots it visits, or over one chunk of them."""
 
     spec: MotifSpec
     counts: dict[int, int]
@@ -240,14 +243,22 @@ def _drop_pool() -> None:
 
 def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: int,
                    order: DegeneracyOrder | None = None, local: str | None = None) -> Run:
-    """Run root_fn(g, order, root, spec, prune, run) over every root and
-    return the merged Run, timed and checked against the counter limit.
+    """Run root_fn(g, order, root, spec, prune, run) over the order's roots
+    and return the merged Run, timed and checked against the counter limit.
 
-    Roots are processed in degeneracy-rank order; with threads == 1, or with
-    fewer than 4 roots, the call runs inline (canonical recursion for
-    debugging). Otherwise each of n = min(threads, #roots) workers gets one
-    strided chunk, roots[k::n] for k < n, on the process's shared pool, with
-    the run's bound fault.
+    With pruning on and k = q_low - 1 - s > 0, only the roots whose core
+    number is at least k are visited. That loses no result: every member of
+    a result misses at most s of the other members, so it has at least
+    q_low - 1 - s neighbors inside the result, and the whole result lies in
+    the k-core. A result is found at its lowest-rank member, which is then a
+    visited root, whatever the order. With pruning off every root is visited.
+
+    The visited roots are processed in degeneracy-rank order; with
+    threads == 1, or with fewer than 4 of them, the call runs inline
+    (canonical recursion for debugging). Otherwise each of
+    n = min(threads, #roots) workers gets one strided chunk of the visited
+    roots, roots[k::n] for k < n, on the process's shared pool, with the
+    run's bound fault.
     Roots are independent, and striding spreads the costly ones (the dense
     core that peels last on power-law graphs, the early roots of G(n, p))
     over every chunk; one chunk per worker pickles the graph and the order
@@ -259,7 +270,11 @@ def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: 
     t0 = time.perf_counter()
     if order is None:
         order = degeneracy_order(g)
-    roots = order.order.tolist()
+    roots = order.order
+    k_core = spec.q_low - 1 - spec.s
+    if prune and k_core > 0:
+        roots = roots[order.core_numbers[roots] >= k_core]
+    roots = roots.tolist()
     if threads <= 1 or len(roots) < 4:
         run = _run_chunk(pruning.BOUND_FAULT, root_fn, g, order, spec, prune, local, roots)
     else:

@@ -184,11 +184,13 @@ def pairs_within_two(nb) -> int:
 
 
 def permuted_order(g, seed: int) -> DegeneracyOrder:
-    """A valid root order that is not the degeneracy order."""
+    """A valid root order that is not the degeneracy order. The degeneracy
+    and the core numbers belong to the graph, not to the order."""
     perm = np.random.default_rng(seed).permutation(g.n)
     rank = np.empty(g.n, dtype=np.int64)
     rank[perm] = np.arange(g.n)
-    return DegeneracyOrder(perm, rank, 0, np.zeros(g.n, dtype=np.int64))
+    full = degeneracy_order(g)
+    return DegeneracyOrder(perm, rank, full.degeneracy, full.core_numbers)
 
 
 @pytest.mark.parametrize("gi", range(len(GRAPHS) + 1))

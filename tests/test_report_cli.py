@@ -150,6 +150,49 @@ class TestExitCodes:
         assert "unrecognized arguments: --method list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,argv,engine", [
+        ("count", ["--q", "4", "--json"], "count_by_pivot"),
+        ("count", ["--q", "4", "--method", "list", "--json"], "count_by_listing"),
+        ("local", ["--q", "4", "--local", "vertex", "--output"], "count_by_pivot"),
+        ("local", ["--q", "4", "--local", "vertex", "--output", "{ok}", "--json"],
+         "count_by_pivot"),
+        ("profile", ["--q-range", "3:5", "--json"], "hgp_profile"),
+    ])
+    def test_unwritable_output_is_1_before_counting(self, ref7_file, tmp_path, capsys,
+                                                    monkeypatch, command, argv, engine):
+        import hcscount.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the engine ran before the output path was checked")
+
+        monkeypatch.setattr(cli, engine, never)
+        ok = tmp_path / "ok.tsv"
+        bad = tmp_path / "no-such-dir" / "out"
+        argv = [a.format(ok=ok) for a in argv]
+        rc = main([command, "--input", ref7_file, "--motif", "plex", "--s", "1"]
+                  + argv + [str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"output error: cannot write {bad}" in err
+        assert "Traceback" not in err
+        assert not ok.exists()
+
+    def test_output_check_keeps_existing_files(self, tmp_path, capsys):
+        """A parse error after the check leaves an existing output file as it
+        was and creates no new one."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\noops here\n")
+        kept = tmp_path / "kept.json"
+        kept.write_text("previous report\n")
+        fresh = tmp_path / "fresh.tsv"
+        rc = main(["local", "--input", str(bad), "--motif", "clique", "--s", "0",
+                   "--q", "3", "--local", "vertex", "--output", str(fresh),
+                   "--json", str(kept)])
+        assert rc == 1
+        assert "line 2" in capsys.readouterr().err
+        assert kept.read_text() == "previous report\n"
+        assert not fresh.exists()
+
     def test_verify_pass_is_0(self):
         assert main(["verify", "--seeds", "1", "--q-max", "4"]) == 0
 
@@ -232,6 +275,18 @@ class TestCountCommand:
                            capture_output=True, text=True)
         assert r.returncode == 0
         assert "q=4: 2" in r.stdout
+
+    def test_package_entry_point(self, ref7_file, tmp_path):
+        """python -m hcscount runs the same CLI and passes its exit code."""
+        base = [sys.executable, "-m", "hcscount", "count", "--motif", "clique",
+                "--s", "0", "--q", "4", "--input"]
+        r = subprocess.run(base + [ref7_file], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert "q=4: 2" in r.stdout
+        r = subprocess.run(base + [str(tmp_path / "absent.txt")], capture_output=True,
+                           text=True)
+        assert r.returncode == 1
+        assert "input error" in r.stderr
 
 
 class TestLocalCommand:

@@ -81,9 +81,12 @@ def test_prune_bound_fault_changes_listing_counts():
 
 
 def test_each_worker_gets_one_strided_chunk(monkeypatch):
-    """Chunk k of n = min(threads, roots) is order[k::n], submitted in index
-    order: every root once and no chunk empty, also with fewer roots than
-    threads. A graph with fewer than 4 roots runs inline."""
+    """Chunk k of n = min(threads, roots) is roots[k::n] over the roots the
+    run visits, submitted in index order: every visited root once and no
+    chunk empty, also with fewer roots than threads. Fewer than 4 visited
+    roots run inline. A pruned clique(0,3) run visits the roots in the
+    2-core, in degeneracy order (the path of `tail` and all of `five_roots`
+    have core number 1); with pruning off it visits every root."""
     tail = from_edges([(i, i + 1) for i in range(30)]
                       + [(u, v) for u in range(30, 42) for v in range(u + 1, 42)])
     dense = random_gnp(30, 0.5, seed=5)
@@ -91,18 +94,22 @@ def test_each_worker_gets_one_strided_chunk(monkeypatch):
     three_roots = from_edges([(0, 1), (1, 2)])
     cases = [(tail, 2), (tail, 3), (dense, 2), (dense, 3), (five_roots, 8), (three_roots, 2)]
     for g, threads in cases:
-        order = degeneracy_order(g).order.tolist()
-        pool = _InlinePool()
-        monkeypatch.setattr(runner, "_shared_pool", lambda threads: pool)
-        runner.run_over_roots(_skip_root, g, MotifSpec.single("clique", 0, 3), prune=True,
-                              threads=threads)
-        if len(order) < 4:
-            assert pool.submitted == []
-            continue
-        n = min(threads, len(order))
-        assert pool.submitted == [order[k::n] for k in range(n)]
-        assert sorted(r for part in pool.submitted for r in part) == sorted(order)
-        assert all(pool.submitted)
+        order = degeneracy_order(g)
+        for prune in (True, False):
+            roots = order.order.tolist()
+            if prune:
+                roots = [r for r in roots if order.core_numbers[r] >= 2]
+            pool = _InlinePool()
+            monkeypatch.setattr(runner, "_shared_pool", lambda threads: pool)
+            runner.run_over_roots(_skip_root, g, MotifSpec.single("clique", 0, 3), prune=prune,
+                                  threads=threads)
+            if len(roots) < 4:
+                assert pool.submitted == []
+                continue
+            n = min(threads, len(roots))
+            assert pool.submitted == [roots[k::n] for k in range(n)]
+            assert sorted(r for part in pool.submitted for r in part) == sorted(roots)
+            assert all(pool.submitted)
 
 
 def test_broken_pool_is_replaced():
