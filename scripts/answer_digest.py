@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print four sha256 lines over the answers and search statistics of a fixed matrix.
 
-Usage: PYTHONPATH=src python3 scripts/answer_digest.py
+Usage: PYTHONPATH=src python3 scripts/answer_digest.py [--expect KEY=PREFIX ...]
 
 Both engines run over fixed graphs (the benchmark generator's social, dense
 and gate inputs, plus four seeded G(n, p) graphs) and a fixed list of specs,
@@ -20,10 +20,15 @@ same trees on this matrix print the same lines: run the script in both and
 compare. A change to the search tree alone (a pivot rule, a bound) moves the
 first two lines and leaves the last two. It takes about a minute and a half
 on two cores.
+
+Each --expect KEY=PREFIX (KEY is runs, "extended runs", answers or oracle)
+makes the script exit 1, naming every such line whose sha256 does not
+start with PREFIX.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import sys
@@ -95,9 +100,27 @@ def oracle_rows(name, g) -> list[tuple]:
     return rows
 
 
-def main() -> int:
-    digests = {key: hashlib.sha256()
-               for key in ("runs", "extended runs", "answers", "oracle")}
+KEYS = ("runs", "extended runs", "answers", "oracle")
+
+
+def parse_expect(ap: argparse.ArgumentParser, items: list[str]) -> dict[str, str]:
+    expect = {}
+    for item in items:
+        key, sep, prefix = item.partition("=")
+        if not sep or key not in KEYS:
+            ap.error(f"--expect takes KEY=PREFIX with KEY one of {', '.join(KEYS)}; "
+                     f"got {item!r}")
+        expect[key] = prefix
+    return expect
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Digest the answers and search statistics "
+                                             "of a fixed matrix.")
+    ap.add_argument("--expect", action="append", default=[], metavar="KEY=PREFIX",
+                    help="exit 1 unless line KEY's sha256 starts with PREFIX (repeatable)")
+    expect = parse_expect(ap, ap.parse_args(argv).expect)
+    digests = {key: hashlib.sha256() for key in KEYS}
     runs = dict.fromkeys(digests, 0)
     with tempfile.TemporaryDirectory() as tmp:
         for name, g in graphs(Path(tmp)):
@@ -124,9 +147,15 @@ def main() -> int:
                             answer = row if row[0] == "enumerate" else row[:-1]
                             digests["answers"].update(repr(answer).encode())
                             runs["answers"] += 1
+    failed = 0
     for key, digest in digests.items():
-        print(f"{runs[key]} {key} sha256={digest.hexdigest()}")
-    return 0
+        hexdigest = digest.hexdigest()
+        print(f"{runs[key]} {key} sha256={hexdigest}")
+        if not hexdigest.startswith(expect.get(key, "")):
+            print(f"{key}: sha256={hexdigest} does not start with {expect[key]}",
+                  file=sys.stderr)
+            failed = 1
+    return failed
 
 
 if __name__ == "__main__":

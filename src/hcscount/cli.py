@@ -12,6 +12,7 @@ found before the input is loaded (exit 1).
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import math
 import os
@@ -21,7 +22,7 @@ from .graph import ParseError, degeneracy_order, load_edge_list
 from .listing import count_by_listing
 from .motifs import MotifSpec, SpecError
 from .pivot import count_by_pivot
-from .report import hgp_profile, make_report
+from .report import hgp_profile, run_report, run_summary
 from .runner import CounterOverflowError, RunConfigError, resolve_threads
 from .verify import FAULTS, run_verification
 
@@ -94,8 +95,17 @@ def _load(path: str):
     return g, order
 
 
+def _write_json(path: str | None, doc: dict) -> None:
+    if path:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def cmd_count(args) -> int:
     spec = _parse_spec(args)
+    if args.method == "list" and spec.is_range:
+        raise SpecError("--method list counts a single size (--q); use --method pivot "
+                        "for --q-range")
     threads = resolve_threads(args.threads)
     _check_outputs(args.json)
     g, order = _load(args.input)
@@ -103,11 +113,8 @@ def cmd_count(args) -> int:
         run = count_by_listing(g, spec, prune=not args.no_prune, threads=threads, order=order)
     else:
         run = count_by_pivot(g, spec, prune=not args.no_prune, threads=threads, order=order)
-    rep = make_report(args.input, g, spec, args.method, run, threads)
-    print(rep.human_summary())
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(rep.to_json() + "\n")
+    print(run_summary(run, args.method))
+    _write_json(args.json, run_report(args.input, g, run, args.method, threads))
     return EXIT_OK
 
 
@@ -157,13 +164,10 @@ def cmd_local(args) -> int:
                 if a > b:
                     a, b = b, a
                 fh.write(f"{a}\t{b}\t{c}\n")
-    rep = make_report(args.input, g, spec, "pivot", run, threads,
-                      local_output=args.output)
-    print(rep.human_summary())
+    print(run_summary(run, "pivot"))
     print(f"  wrote {args.local} counts to {args.output}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(rep.to_json() + "\n")
+    _write_json(args.json, run_report(args.input, g, run, "pivot", threads,
+                                      local_output=args.output))
     return EXIT_OK
 
 
@@ -179,9 +183,7 @@ def cmd_profile(args) -> int:
         r = prof.ratio(q)
         print(f"  q={q}: clique={prof.clique_counts.get(q, 0)} "
               f"hcs={prof.hcs_counts.get(q, 0)} ratio={'null' if r is None else r}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(prof.to_json() + "\n")
+    _write_json(args.json, prof.to_dict())
     return EXIT_OK
 
 

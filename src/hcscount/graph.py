@@ -217,7 +217,7 @@ class DegeneracyOrder:
     and ``core_numbers`` cover every vertex of the graph. A sub-order holds a
     slice of a full order's roots with the full ``rank`` and core numbers.
     Pruned runs skip the roots whose core number is too small to host a
-    result (runner.run_over_roots).
+    result (pruning.visited_roots).
     """
 
     order: np.ndarray

@@ -26,7 +26,7 @@ from functools import partial
 from .graph import DegeneracyOrder, Graph, RootNeighborhood
 from .motifs import MotifSpec, SpecError, iter_bits
 from .pivot import FAMILY_RULES
-from .runner import Run, RunStats, prepare_root, run_over_roots
+from .runner import Run, RunStats, run_over_roots
 
 
 def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
@@ -100,15 +100,6 @@ def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     del rec
 
 
-def _list_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec, prune: bool,
-               run: Run, sink=None) -> None:
-    """One root of a listing run; kept free of closures, since most roots are
-    cut before any search."""
-    rn = prepare_root(g, order, root, spec, prune, run.stats)
-    if rn is not None:
-        _list_search(rn, spec, prune, run, sink)
-
-
 def count_by_listing(g: Graph, spec: MotifSpec, *, prune: bool = True,
                      threads: int = 1, order: DegeneracyOrder | None = None) -> Run:
     """Count HCSs of one exact size by listing each exactly once; a range
@@ -118,7 +109,7 @@ def count_by_listing(g: Graph, spec: MotifSpec, *, prune: bool = True,
         raise SpecError("the listing engine counts a single size; use the pivot engine for ranges")
     if spec.q_low == 1:
         return Run(spec, {1: g.n}, RunStats(), prune)
-    return run_over_roots(_list_root, g, spec, prune=prune, threads=threads, order=order)
+    return run_over_roots(_list_search, g, spec, prune=prune, threads=threads, order=order)
 
 
 def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
@@ -136,5 +127,5 @@ def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
         for u in range(g.n):
             sink((u,))
         return
-    run_over_roots(partial(_list_root, sink=sink), g, spec, prune=prune, threads=1,
+    run_over_roots(partial(_list_search, sink=sink), g, spec, prune=prune, threads=1,
                    order=order)

@@ -49,7 +49,7 @@ from . import pruning
 from .graph import DegeneracyOrder, Graph, RootNeighborhood
 from .motifs import CliqueState, DcliqueState, MotifSpec, PlexState, iter_bits
 from .pruning import upper_bound_dclique, upper_bound_plex
-from .runner import LocalCounts, Run, prepare_root, run_over_roots
+from .runner import LocalCounts, Run, run_over_roots
 
 
 def binom(n: int, k: int) -> int:
@@ -458,17 +458,6 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     del rec
 
 
-def _pivot_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec, prune: bool,
-                run: Run, probe=None, debug_checks: bool = False) -> None:
-    """One root of a pivot run; kept free of closures, since most roots are
-    cut before any search."""
-    rn = prepare_root(g, order, root, spec, prune, run.stats)
-    if rn is None:
-        run.stats.nodes += 1  # the root node, cut by the size check
-    else:
-        _pivot_search(rn, spec, prune, run, probe, debug_checks)
-
-
 def count_by_pivot(g: Graph, spec: MotifSpec, *, prune: bool = True, threads: int = 1,
                    local: str | None = None, order: DegeneracyOrder | None = None,
                    probe=None, debug_checks: bool = False) -> Run:
@@ -479,10 +468,10 @@ def count_by_pivot(g: Graph, spec: MotifSpec, *, prune: bool = True, threads: in
     spec.validate()
     if local not in (None, "vertex", "edge", "both"):
         raise ValueError(f"unknown local granularity {local!r}")
-    root_fn = _pivot_root
+    search = _pivot_search
     if probe is not None or debug_checks:
         if threads > 1:
             raise ValueError("probe/debug runs require threads=1")
-        root_fn = partial(_pivot_root, probe=probe, debug_checks=debug_checks)
-    return run_over_roots(root_fn, g, spec, prune=prune, threads=threads, order=order,
+        search = partial(_pivot_search, probe=probe, debug_checks=debug_checks)
+    return run_over_roots(search, g, spec, prune=prune, threads=threads, order=order,
                           local=local)

@@ -1,17 +1,19 @@
-"""Candidate-set reduction before search and branch-level upper bounds.
+"""Root selection, candidate-set reduction before search, and branch-level
+upper bounds.
 
-Reduction shrinks a root's raw 1-hop/2-hop candidate sets using core and
-degree thresholds that no target-size result can evade. The bounds cap the
-size any branch can reach; a branch whose bound falls below the target is
-skipped. Both are lossless: counts with and without them must agree.
+A pruned run visits only the roots that can host a result, and shrinks each
+root's raw 1-hop/2-hop candidate sets using core and degree thresholds that
+no target-size result can evade. The bounds cap the size any branch can
+reach; a branch whose bound falls below the target is skipped. All are
+lossless: counts with and without them must agree.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph
-from .motifs import DcliqueState, PlexState
+from .graph import DegeneracyOrder, Graph, collect_candidates
+from .motifs import DcliqueState, MotifSpec, PlexState
 
 # Fault-injection knob for the verification harness: a positive value makes
 # the bounds too tight by that amount, which must break count agreement.
@@ -75,6 +77,53 @@ def reduce_candidates(g: Graph, one: Sequence[int], two: Sequence[int],
     for u in one:
         for w in hits.keys() & adj[u]:
             hits[w] += 1
+    return one, [w for w, c in hits.items() if c >= need]
+
+
+def visited_roots(order: DegeneracyOrder, spec: MotifSpec, prune: bool) -> list[int]:
+    """The roots a run visits, in degeneracy-rank order.
+
+    With pruning on and k = q_low - 1 - s > 0, only the roots whose core
+    number is at least k. That loses no result: every member of a result
+    misses at most s of the other members, so it has at least q_low - 1 - s
+    neighbors inside the result, and the whole result lies in the k-core. A
+    result is found at its lowest-rank member, which is then a visited root,
+    whatever the order. With pruning off every root is visited.
+    """
+    roots = order.order
+    k = spec.q_low - 1 - spec.s
+    if prune and k > 0:
+        roots = roots[order.core_numbers[roots] >= k]
+    return roots.tolist()
+
+
+def reduce_root(g: Graph, order: DegeneracyOrder, root: int,
+                spec: MotifSpec) -> tuple[list[int], list[int]]:
+    """A root's reduced (one, two), the same sets as collect_candidates then
+    reduce_candidates, without building the root's 2-hop ball.
+
+    The higher-rank neighbors are peeled to the core. Each 2-hop survivor
+    needs `need` neighbors in that core, at least one on every valid spec,
+    so it lies on some core member's neighbor list: counting, over those
+    lists, the hits on each higher-rank non-neighbor of the root finds every
+    survivor.
+    """
+    s, family = spec.s, spec.family
+    one, _ = collect_candidates(g, order, root, False)
+    core_k, need = thresholds(family, spec.q_low, s)
+    if core_k > 0:
+        one = _induced_core(g, one, core_k)
+    if family == "clique" or s == 0 or len(one) < need:
+        return one, []
+    rank = order.rank_list
+    r = rank[root]
+    adj = g.nbrs
+    near_set = set(adj[root])
+    hits: dict[int, int] = {}
+    for u in one:
+        for w in adj[u]:
+            if rank[w] > r and w not in near_set:
+                hits[w] = hits.get(w, 0) + 1
     return one, [w for w, c in hits.items() if c >= need]
 
 

@@ -12,7 +12,6 @@ from . import pruning
 from .graph import (DegeneracyOrder, Graph, RootNeighborhood,
                     build_root_neighborhood, collect_candidates, degeneracy_order)
 from .motifs import MotifSpec
-from .pruning import _induced_core
 
 # Fault-injection knob: when set, any counter exceeding this value raises.
 # Simulates a fixed-width accumulator; normal runs use unbounded integers.
@@ -41,9 +40,9 @@ class RunStats:
     run over a sub-order, or a pruned run that skips roots, reports the whole
     graph's total too. cand_now sums the candidates each visited root keeps
     after reduction (all of them with pruning off); a pruned run does not
-    visit the roots outside the (q_low - 1 - s)-core (see run_over_roots),
-    and they add nothing. nodes counts the search nodes of the visited roots
-    only, so a skipped root adds no node either.
+    visit the roots outside the (q_low - 1 - s)-core (pruning.visited_roots),
+    and they add nothing. nodes counts search nodes only: a root outside the
+    core, or one whose prepared candidates cannot reach q_low, adds none.
     """
 
     nodes: int = 0
@@ -166,11 +165,11 @@ def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,
 
     With pruning off the universe is the root's whole higher-rank 2-hop ball
     (collect_candidates). With pruning on it is built from the reduced core
-    (_reduce_from_core) and gives the same sets as collect_candidates then
+    (pruning.reduce_root) and gives the same sets as collect_candidates then
     reduce_candidates, without building the ball.
     """
     if prune:
-        one, two = _reduce_from_core(g, order, root, spec)
+        one, two = pruning.reduce_root(g, order, root, spec)
     else:
         one, two = collect_candidates(g, order, root, spec.s >= 1)
     stats.cand_now += len(one) + len(two)
@@ -179,43 +178,17 @@ def prepare_root(g: Graph, order: DegeneracyOrder, root: int, spec: MotifSpec,
     return build_root_neighborhood(g, root, one, two)
 
 
-def _reduce_from_core(g: Graph, order: DegeneracyOrder, root: int,
-                      spec: MotifSpec) -> tuple[list[int], list[int]]:
-    """A root's reduced (one, two).
-
-    The higher-rank neighbors are peeled to the core. Each 2-hop survivor
-    needs `need` neighbors in that core, at least one on every valid spec,
-    so it lies on some core member's neighbor list: counting, over those
-    lists, the hits on each higher-rank non-neighbor of the root finds every
-    survivor.
-    """
-    s, family = spec.s, spec.family
-    one, _ = collect_candidates(g, order, root, False)
-    core_k, need = pruning.thresholds(family, spec.q_low, s)
-    if core_k > 0:
-        one = _induced_core(g, one, core_k)
-    if family == "clique" or s == 0 or len(one) < need:
-        return one, []
-    rank = order.rank_list
-    r = rank[root]
-    adj = g.nbrs
-    near_set = set(adj[root])
-    hits: dict[int, int] = {}
-    for u in one:
-        for w in adj[u]:
-            if rank[w] > r and w not in near_set:
-                hits[w] = hits.get(w, 0) + 1
-    return one, [w for w, c in hits.items() if c >= need]
-
-
-def _run_chunk(bound_fault: int, root_fn, g: Graph, order: DegeneracyOrder,
+def _run_chunk(bound_fault: int, search, g: Graph, order: DegeneracyOrder,
                spec: MotifSpec, prune: bool, local: str | None, roots: list[int]) -> Run:
-    """Run root_fn over roots into a fresh Run. Pool workers may outlive the
-    call that started them, so each chunk brings the run's bound fault."""
+    """Prepare each root and search the ones that get a universe, into a
+    fresh Run; a cut root builds no search state. Pool workers may outlive
+    the call that started them, so each chunk brings the run's bound fault."""
     pruning.BOUND_FAULT = bound_fault
     run = Run.empty(g.n, spec, prune, local)
     for root in roots:
-        root_fn(g, order, root, spec, prune, run)
+        rn = prepare_root(g, order, root, spec, prune, run.stats)
+        if rn is not None:
+            search(rn, spec, prune, run)
     return run
 
 
@@ -226,10 +199,15 @@ _pool_threads = 0
 
 
 def _shared_pool(threads: int) -> ProcessPoolExecutor:
+    """The pool for a thread count. It starts at most one worker per usable
+    CPU, since a forked pool starts all its workers at the first submit;
+    chunks beyond that wait for a free worker."""
     global _pool, _pool_threads
     if _pool is None or _pool_threads != threads:
         _drop_pool()
-        _pool = ProcessPoolExecutor(max_workers=threads)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        _pool = ProcessPoolExecutor(max_workers=min(threads, cpus))
         _pool_threads = threads
     return _pool
 
@@ -241,28 +219,22 @@ def _drop_pool() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: int,
+def run_over_roots(search, g: Graph, spec: MotifSpec, *, prune: bool, threads: int,
                    order: DegeneracyOrder | None = None, local: str | None = None) -> Run:
-    """Run root_fn(g, order, root, spec, prune, run) over the order's roots
-    and return the merged Run, timed and checked against the counter limit.
-
-    With pruning on and k = q_low - 1 - s > 0, only the roots whose core
-    number is at least k are visited. That loses no result: every member of
-    a result misses at most s of the other members, so it has at least
-    q_low - 1 - s neighbors inside the result, and the whole result lies in
-    the k-core. A result is found at its lowest-rank member, which is then a
-    visited root, whatever the order. With pruning off every root is visited.
+    """Prepare every visited root (pruning.visited_roots) with prepare_root,
+    call search(rn, spec, prune, run) on each universe it returns, and return
+    the merged Run, timed and checked against the counter limit.
 
     The visited roots are processed in degeneracy-rank order; with
     threads == 1, or with fewer than 4 of them, the call runs inline
-    (canonical recursion for debugging). Otherwise each of
-    n = min(threads, #roots) workers gets one strided chunk of the visited
-    roots, roots[k::n] for k < n, on the process's shared pool, with the
-    run's bound fault.
+    (canonical recursion for debugging). Otherwise the visited roots are
+    dealt into n = min(threads, #roots) strided chunks, roots[k::n] for
+    k < n, each run with the run's bound fault on the process's shared pool,
+    which starts at most one worker per usable CPU.
     Roots are independent, and striding spreads the costly ones (the dense
     core that peels last on power-law graphs, the early roots of G(n, p))
-    over every chunk; one chunk per worker pickles the graph and the order
-    once per worker. Counts, stats and locals are sums, so the merged Run
+    over every chunk; one chunk per thread pickles the graph and the order
+    only n times. Counts, stats and locals are sums, so the merged Run
     does not depend on the partition; cand_pre is set once, from the graph.
     Counts only grow, so the merged counts exceed the counter limit exactly
     when some chunk's did.
@@ -270,13 +242,9 @@ def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: 
     t0 = time.perf_counter()
     if order is None:
         order = degeneracy_order(g)
-    roots = order.order
-    k_core = spec.q_low - 1 - spec.s
-    if prune and k_core > 0:
-        roots = roots[order.core_numbers[roots] >= k_core]
-    roots = roots.tolist()
+    roots = pruning.visited_roots(order, spec, prune)
     if threads <= 1 or len(roots) < 4:
-        run = _run_chunk(pruning.BOUND_FAULT, root_fn, g, order, spec, prune, local, roots)
+        run = _run_chunk(pruning.BOUND_FAULT, search, g, order, spec, prune, local, roots)
     else:
         run = Run.empty(g.n, spec, prune, local)
         n = min(threads, len(roots))
@@ -284,7 +252,7 @@ def run_over_roots(root_fn, g: Graph, spec: MotifSpec, *, prune: bool, threads: 
         futures = []
         try:
             for k in range(n):
-                futures.append(pool.submit(_run_chunk, pruning.BOUND_FAULT, root_fn, g, order,
+                futures.append(pool.submit(_run_chunk, pruning.BOUND_FAULT, search, g, order,
                                            spec, prune, local, roots[k::n]))
             for f in futures:
                 run.merge(f.result())

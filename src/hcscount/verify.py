@@ -41,7 +41,8 @@ def default_spec_matrix(s_values=(0, 1, 2), q_max: int = 7) -> list[MotifSpec]:
     for s in s_values:
         fams = ("clique",) if s == 0 else ("dclique", "plex")
         for fam in fams:
-            q_floor = 2 if fam == "clique" else max(s + 2, 2 * s + 1)
+            # the floors of MotifSpec.validate
+            q_floor = {"clique": 2, "dclique": s + 2, "plex": 2 * s + 1}[fam]
             for q in range(q_floor, q_max + 1):
                 specs.append(MotifSpec.single(fam, s, q))
     return specs

@@ -35,7 +35,8 @@ def _spec_matrix():
     out = []
     for fam in ("dclique", "plex"):
         for s in (0, 1, 2):
-            for q in range(max(s + 2, 2 * s + 1), 8):
+            # dclique from the floor of MotifSpec.validate; plex from 2 even at s = 0
+            for q in range(s + 2 if fam == "dclique" else max(2, 2 * s + 1), 8):
                 out.append(MotifSpec.single(fam, s, q))
     return out
 

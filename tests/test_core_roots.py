@@ -2,8 +2,9 @@
 
 Every member of a result misses at most s of the other members, so the
 whole result lies in the k-core with k = q_low - 1 - s, and its lowest-rank
-member is a root with core number at least k. run_over_roots skips every
-other root when pruning is on; with pruning off it visits them all.
+member is a root with core number at least k. pruning.visited_roots drops
+every other root when pruning is on, and run_over_roots prepares only the
+roots it keeps; with pruning off it keeps them all.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from hcscount import (MotifSpec, count_by_listing, count_by_pivot, degeneracy_order,
-                      from_edges, random_gnp, runner, sweep)
+                      from_edges, pruning, random_gnp, runner, sweep)
 
 
 def planted_on_periphery(seed: int):
@@ -38,10 +39,21 @@ def _specs():
     return out
 
 
-def _record(seen):
-    def root_fn(g, order, root, spec, prune, run):
-        seen.append(root)
-    return root_fn
+def _record_prepared(monkeypatch):
+    """Make run_over_roots record each root it prepares; returns the list."""
+    prepared = []
+    prepare_root = runner.prepare_root
+
+    def record(g, order, root, *args):
+        prepared.append(root)
+        return prepare_root(g, order, root, *args)
+
+    monkeypatch.setattr(runner, "prepare_root", record)
+    return prepared
+
+
+def _skip_search(rn, spec, prune, run):
+    pass
 
 
 @pytest.mark.parametrize("spec", [MotifSpec.single("clique", 0, 4),
@@ -59,11 +71,7 @@ def test_pruned_runs_visit_the_core_roots_in_order(spec):
         order = degeneracy_order(g)
         every = order.order.tolist()
         core = order.core_numbers
-        seen = {}
-        for prune in (True, False):
-            seen[prune] = []
-            runner.run_over_roots(_record(seen[prune]), g, spec, prune=prune, threads=1,
-                                  order=order)
+        seen = {prune: pruning.visited_roots(order, spec, prune) for prune in (True, False)}
         assert seen[False] == every
         if k > 0:
             assert seen[True] == [v for v in every if core[v] >= k]
@@ -71,6 +79,20 @@ def test_pruned_runs_visit_the_core_roots_in_order(spec):
             assert seen[True] == every
         if g is planted and k >= 2:
             assert len(seen[True]) <= 12  # the periphery has core number 1
+
+
+def test_the_driver_prepares_exactly_the_visited_roots(monkeypatch):
+    """run_over_roots hands prepare_root the visited roots, in order, and no
+    other root."""
+    g = planted_on_periphery(3)
+    order = degeneracy_order(g)
+    spec = MotifSpec("dclique", 1, 5, 7)
+    prepared = _record_prepared(monkeypatch)
+    for prune in (True, False):
+        prepared.clear()
+        runner.run_over_roots(_skip_search, g, spec, prune=prune, threads=1, order=order)
+        assert prepared == pruning.visited_roots(order, spec, prune)
+    assert len(prepared) == g.n > len(pruning.visited_roots(order, spec, True))
 
 
 @pytest.mark.parametrize("spec", _specs(), ids=lambda spec: spec.describe())
@@ -99,7 +121,7 @@ def test_core_filter_keeps_every_answer(spec):
 @pytest.mark.parametrize("spec", [MotifSpec.single("clique", 0, 5), MotifSpec("dclique", 1, 6, 8),
                                   MotifSpec.single("plex", 1, 6)],
                          ids=lambda spec: spec.describe())
-def test_graph_below_the_core_visits_no_root(spec):
+def test_graph_below_the_core_visits_no_root(spec, monkeypatch):
     """A graph whose degeneracy is below k: a pruned run searches nothing
     and counts nothing; with pruning off every root is prepared."""
     g = from_edges([(i, (i + 1) % 30) for i in range(30)] + [(0, 15), (7, 22)])
@@ -114,4 +136,20 @@ def test_graph_below_the_core_visits_no_root(spec):
         single = MotifSpec.single(spec.family, spec.s, spec.q_low)
         listed = count_by_listing(g, single, threads=threads, order=order)
         assert listed.count == 0 and listed.stats.nodes == 0 and listed.stats.cand_now == 0
-    assert count_by_pivot(g, spec, prune=False, order=order).stats.nodes >= g.n
+    prepared = _record_prepared(monkeypatch)
+    count_by_pivot(g, spec, prune=False, order=order)
+    assert prepared == order.order.tolist()
+
+
+@pytest.mark.parametrize("spec", [MotifSpec.single("clique", 0, 4),
+                                  MotifSpec.single("dclique", 1, 6),
+                                  MotifSpec.single("plex", 1, 6)],
+                         ids=lambda spec: spec.describe())
+def test_roots_cut_by_the_size_check_add_no_node(spec):
+    """On a cycle with pruning off, every root is prepared and none has
+    enough candidates to reach q: both engines count 0 search nodes."""
+    g = from_edges([(i, (i + 1) % 30) for i in range(30)])
+    for run in (count_by_pivot(g, spec, prune=False), count_by_listing(g, spec, prune=False)):
+        assert run.count == 0
+        assert run.stats.cand_now > 0
+        assert run.stats.nodes == 0

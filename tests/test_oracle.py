@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from hcscount import (MotifSpec, OracleInfeasibleError, brute_force_count,
+from hcscount import (MotifSpec, OracleInfeasibleError, SpecError, brute_force_count,
                       brute_force_pivot_check, complete_graph, count_by_listing,
                       count_by_pivot, random_gnp, sweep)
 from hcscount.motifs import is_hcs, missing_edges, vertex_deficiency
@@ -167,6 +167,21 @@ class TestVerifyHarness:
         mm = rep.mismatches[0]
         assert mm.minimized_edges is not None
         assert mm.minimized_n <= mm.n
+
+    @pytest.mark.parametrize("s_max,q_max", [(2, 7), (3, 8), (1, 3), (3, 5)])
+    def test_matrix_is_every_admissible_spec(self, s_max, q_max):
+        """Cliques from q = 2, and for each s >= 1 every dclique and plex
+        that MotifSpec.validate accepts, up to q_max."""
+        from hcscount.verify import default_spec_matrix
+        want = [MotifSpec.single("clique", 0, q) for q in range(2, q_max + 1)]
+        for s in range(1, s_max + 1):
+            for fam in ("dclique", "plex"):
+                for q in range(1, q_max + 1):
+                    try:
+                        want.append(MotifSpec.single(fam, s, q).validate())
+                    except SpecError:
+                        pass
+        assert default_spec_matrix(tuple(range(s_max + 1)), q_max) == want
 
     def test_overflow_fault_raises(self):
         from hcscount.runner import CounterOverflowError

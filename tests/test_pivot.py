@@ -66,32 +66,33 @@ def two_pass_plex_pivot(state, C):
 
 
 # (seed, family, s, q, prune) -> ((nodes, branch_iters, bound_pruned) of the
-# pivot engine, the same of the listing engine) on random_gnp graphs
+# pivot engine, the same of the listing engine) on random_gnp graphs; nodes
+# counts search nodes only, none for a root cut by the size check
 SEARCH_STATS = {
-    (11, 'dclique', 1, 5, True): ((1206, 604, 78), (974, 2393, 725)),
-    (11, 'dclique', 1, 5, False): ((1350, 648, 0), (992, 2490, 0)),
-    (11, 'dclique', 2, 6, True): ((3110, 1585, 211), (2056, 6916, 3057)),
-    (11, 'dclique', 2, 6, False): ((3635, 1771, 0), (2272, 7873, 0)),
-    (11, 'plex', 1, 5, True): ((1832, 957, 51), (1744, 3081, 459)),
-    (11, 'plex', 1, 5, False): ((1913, 977, 0), (1764, 3150, 0)),
-    (11, 'plex', 2, 6, True): ((12749, 6964, 297), (10849, 19643, 3056)),
-    (11, 'plex', 2, 6, False): ((13215, 7088, 0), (10981, 20183, 0)),
-    (12, 'dclique', 1, 5, True): ((724, 395, 117), (482, 1376, 592)),
-    (12, 'dclique', 1, 5, False): ((1382, 763, 0), (564, 1974, 0)),
-    (12, 'dclique', 2, 6, True): ((1666, 981, 299), (740, 3104, 1967)),
-    (12, 'dclique', 2, 6, False): ((4308, 2413, 0), (1203, 6214, 0)),
-    (12, 'plex', 1, 5, True): ((1248, 690, 90), (926, 2026, 529)),
-    (12, 'plex', 1, 5, False): ((1722, 979, 0), (1019, 2491, 0)),
-    (12, 'plex', 2, 6, True): ((13130, 8980, 1826), (6886, 18702, 5158)),
-    (12, 'plex', 2, 6, False): ((17001, 10516, 0), (7345, 21088, 0)),
-    (13, 'dclique', 1, 5, True): ((963, 400, 30), (1187, 2139, 398)),
-    (13, 'dclique', 1, 5, False): ((993, 400, 0), (1200, 2171, 0)),
-    (13, 'dclique', 2, 6, True): ((2370, 1013, 68), (2630, 6087, 1953)),
-    (13, 'dclique', 2, 6, False): ((2438, 1013, 0), (2747, 6421, 0)),
-    (13, 'plex', 1, 5, True): ((1224, 532, 2), (1587, 2478, 318)),
-    (13, 'plex', 1, 5, False): ((1230, 534, 0), (1591, 2488, 0)),
-    (13, 'plex', 2, 6, True): ((6243, 2845, 10), (7736, 12412, 1740)),
-    (13, 'plex', 2, 6, False): ((6253, 2845, 0), (7741, 12426, 0)),
+    (11, 'dclique', 1, 5, True): ((1202, 604, 78), (974, 2393, 725)),
+    (11, 'dclique', 1, 5, False): ((1346, 648, 0), (992, 2490, 0)),
+    (11, 'dclique', 2, 6, True): ((3105, 1585, 211), (2056, 6916, 3057)),
+    (11, 'dclique', 2, 6, False): ((3630, 1771, 0), (2272, 7873, 0)),
+    (11, 'plex', 1, 5, True): ((1828, 957, 51), (1744, 3081, 459)),
+    (11, 'plex', 1, 5, False): ((1909, 977, 0), (1764, 3150, 0)),
+    (11, 'plex', 2, 6, True): ((12744, 6964, 297), (10849, 19643, 3056)),
+    (11, 'plex', 2, 6, False): ((13210, 7088, 0), (10981, 20183, 0)),
+    (12, 'dclique', 1, 5, True): ((718, 395, 117), (482, 1376, 592)),
+    (12, 'dclique', 1, 5, False): ((1378, 763, 0), (564, 1974, 0)),
+    (12, 'dclique', 2, 6, True): ((1658, 981, 299), (740, 3104, 1967)),
+    (12, 'dclique', 2, 6, False): ((4303, 2413, 0), (1203, 6214, 0)),
+    (12, 'plex', 1, 5, True): ((1243, 690, 90), (926, 2026, 529)),
+    (12, 'plex', 1, 5, False): ((1718, 979, 0), (1019, 2491, 0)),
+    (12, 'plex', 2, 6, True): ((13125, 8980, 1826), (6886, 18702, 5158)),
+    (12, 'plex', 2, 6, False): ((16996, 10516, 0), (7345, 21088, 0)),
+    (13, 'dclique', 1, 5, True): ((959, 400, 30), (1187, 2139, 398)),
+    (13, 'dclique', 1, 5, False): ((989, 400, 0), (1200, 2171, 0)),
+    (13, 'dclique', 2, 6, True): ((2365, 1013, 68), (2630, 6087, 1953)),
+    (13, 'dclique', 2, 6, False): ((2433, 1013, 0), (2747, 6421, 0)),
+    (13, 'plex', 1, 5, True): ((1220, 532, 2), (1587, 2478, 318)),
+    (13, 'plex', 1, 5, False): ((1226, 534, 0), (1591, 2488, 0)),
+    (13, 'plex', 2, 6, True): ((6238, 2845, 10), (7736, 12412, 1740)),
+    (13, 'plex', 2, 6, False): ((6248, 2845, 0), (7741, 12426, 0)),
 }
 
 

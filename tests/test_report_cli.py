@@ -248,10 +248,18 @@ class TestCountCommand:
         assert rc == 0
         assert "q=5: 9" in capsys.readouterr().out
 
-    def test_list_method_rejects_range(self, ref7_file):
+    def test_list_method_rejects_range(self, ref7_file, capsys, monkeypatch):
+        """Before the input is loaded."""
+        import hcscount.cli as cli
+
+        def never(path):
+            raise AssertionError("the input was loaded before the spec was checked")
+
+        monkeypatch.setattr(cli, "_load", never)
         rc = main(["count", "--input", ref7_file, "--motif", "plex",
                    "--s", "1", "--q-range", "3:5", "--method", "list"])
         assert rc == 2
+        assert "--method list counts a single size" in capsys.readouterr().err
 
     def test_no_prune_matches(self, ref7_file, capsys):
         rc = main(["count", "--input", ref7_file, "--motif", "plex",

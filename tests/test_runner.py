@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hcscount import (CounterOverflowError, MotifSpec, count_by_listing, count_by_pivot,
-                      degeneracy_order, from_edges, random_gnp, runner)
+                      degeneracy_order, from_edges, pruning, random_gnp, runner)
 from hcscount.verify import inject_fault
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -23,20 +23,24 @@ FAULT_GRAPH = (19, 0.4, 90_001)
 FAULT_SPEC = ("plex", 1, 5)
 
 
-def _exit_root(g, order, root, spec, prune, run):
+def _exit_search(rn, spec, prune, run):
     os._exit(1)
 
 
-def _skip_root(g, order, root, spec, prune, run):
+def _skip_search(rn, spec, prune, run):
     pass
 
 
 class _InlinePool:
     """Runs each submitted chunk at once and records its roots in the order
-    of submission."""
+    of submission; it also stands in for ProcessPoolExecutor."""
 
-    def __init__(self):
+    def __init__(self, max_workers=None):
+        self.max_workers = max_workers
         self.submitted = []
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args):
         self.submitted.append(args[-1])
@@ -101,7 +105,7 @@ def test_each_worker_gets_one_strided_chunk(monkeypatch):
                 roots = [r for r in roots if order.core_numbers[r] >= 2]
             pool = _InlinePool()
             monkeypatch.setattr(runner, "_shared_pool", lambda threads: pool)
-            runner.run_over_roots(_skip_root, g, MotifSpec.single("clique", 0, 3), prune=prune,
+            runner.run_over_roots(_skip_search, g, MotifSpec.single("clique", 0, 3), prune=prune,
                                   threads=threads)
             if len(roots) < 4:
                 assert pool.submitted == []
@@ -112,11 +116,34 @@ def test_each_worker_gets_one_strided_chunk(monkeypatch):
             assert all(pool.submitted)
 
 
+def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
+    """A thread count far above the CPU count starts one worker per usable
+    CPU, and still deals min(threads, #roots) chunks; the pool stays keyed
+    by the requested count."""
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(runner, "_pool", None)
+    monkeypatch.setattr(runner, "_pool_threads", 0)
+    cpus = len(os.sched_getaffinity(0))
+    g = random_gnp(30, 0.5, seed=5)
+    spec = MotifSpec.single("dclique", 1, 5)
+    want = count_by_pivot(g, spec).counts
+    roots = pruning.visited_roots(degeneracy_order(g), spec, True)
+    pools = []
+    for threads in (10_000, 10_000, 2):
+        assert count_by_pivot(g, spec, threads=threads).counts == want
+        assert runner._pool_threads == threads
+        pools.append(runner._pool)
+    assert pools[0] is pools[1] is not pools[2]
+    assert pools[0].max_workers == min(10_000, cpus) and pools[2].max_workers == min(2, cpus)
+    # two calls dealt min(threads, #roots) chunks each on the first pool
+    assert len(pools[0].submitted) == 2 * len(roots) and len(pools[2].submitted) == 2
+
+
 def test_broken_pool_is_replaced():
     g = random_gnp(20, 0.4, seed=3)
     spec = MotifSpec.single("dclique", 1, 4)
     with pytest.raises(BrokenProcessPool):
-        runner.run_over_roots(_exit_root, g, spec, prune=True, threads=2)
+        runner.run_over_roots(_exit_search, g, spec, prune=True, threads=2)
     assert runner._pool is None
     assert count_by_pivot(g, spec, threads=2).counts == count_by_pivot(g, spec).counts
 
