@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time set-up and three pivot counts on the benchmark generator's social graph at a given size.
+"""Time set-up and three counts per engine on the benchmark generator's social graph of size N.
 
 Usage: PYTHONPATH=src python3 scripts/scale_check.py N
 
@@ -15,7 +15,8 @@ seconds (wall clock) and the count, cand_pre, cand_now and nodes, which must
 be the same in both runs and across checkouts that search the same trees. A
 third run per spec, on the same warm copy with threads=2, gives the parallel
 time and its speedup over the warm serial run; the first of these calls also
-starts the process pool.
+starts the process pool. Last, the listing engine counts the same spec
+serially on the warm copy; its count must equal the pivot's.
 Generating the graph is not timed; at N = 100,000 it takes about a minute.
 """
 
@@ -31,8 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 
-from hcscount import (DegeneracyOrder, MotifSpec, count_by_pivot,  # noqa: E402
-                      degeneracy_order, load_edge_list)
+from hcscount import (DegeneracyOrder, MotifSpec, count_by_listing,  # noqa: E402
+                      count_by_pivot, degeneracy_order, load_edge_list)
 
 SPECS = [MotifSpec.single("dclique", 1, 9), MotifSpec.single("plex", 1, 9),
          MotifSpec.single("clique", 0, 9)]
@@ -66,6 +67,9 @@ def main() -> int:
         par, t_par = timed(count_by_pivot, g, spec, order=fresh, threads=2)
         print(f"{spec.describe()} threads=2 {t_par:.2f} s speedup {t / t_par:.2f}x "
               f"count={par.count} nodes={par.stats.nodes}")
+        lst, t_lst = timed(count_by_listing, g, spec, order=fresh, threads=1)
+        print(f"{spec.describe()} list {t_lst:.2f} s count={lst.count} "
+              f"cand_now={lst.stats.cand_now} nodes={lst.stats.nodes}")
     return 0
 
 

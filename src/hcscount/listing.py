@@ -15,8 +15,10 @@ filter keeps only vertices that extend the grown R), so whether R + {u, v}
 is a result depends only on u, v and R's counts (see the closers in
 motifs.py). Stats match a search that branched on u: one branch iteration
 per u, and one node per u whose completion set is non-empty. No bound is
-evaluated at the closing level, so a q = 3 listing evaluates none, and a
-q = 2 listing counts the root's candidates.
+evaluated at the closing level, so a q = 3 listing evaluates none. A q = 2
+listing counts the root's candidates and a q = 1 listing the root itself,
+one node per root; like every other size, both run through
+run_over_roots, which measures their stats and wall time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import partial
 from .graph import DegeneracyOrder, Graph, RootNeighborhood
 from .motifs import MotifSpec, SpecError, iter_bits
 from .pivot import FAMILY_RULES
-from .runner import Run, RunStats, run_over_roots
+from .runner import Run, run_over_roots
 
 
 def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
@@ -35,6 +37,13 @@ def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     when given, as a sorted tuple of dense vertex ids."""
     q = spec.q_low
     stats = run.stats
+    if q == 1:
+        # the root alone is the result
+        stats.nodes += 1
+        if sink is not None:
+            sink((int(rn.root),))
+        run.counts[1] += 1
+        return
     verts = rn.verts + [int(rn.root)] if sink is not None else None
     if q == 2:
         # the root is already one member short: each candidate closes it
@@ -51,7 +60,6 @@ def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     filter_candidates = state.filter_candidates
     closer = state.closer
     bound = rules.bound if prune else None
-    keeps_counts = state.keeps_counts
 
     def rec(C: int) -> int:
         stats.nodes += 1
@@ -84,10 +92,7 @@ def _list_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
             if bound is not None and bound(state, u, C) < q:
                 stats.bound_pruned += 1
                 continue
-            if keeps_counts:
-                push(u, C)
-            else:
-                push(u)
+            push(u)
             C2 = filter_candidates(C, u)
             if len(R) + C2.bit_count() >= q:
                 total += rec(C2)
@@ -107,8 +112,6 @@ def count_by_listing(g: Graph, spec: MotifSpec, *, prune: bool = True,
     spec.validate()
     if spec.is_range:
         raise SpecError("the listing engine counts a single size; use the pivot engine for ranges")
-    if spec.q_low == 1:
-        return Run(spec, {1: g.n}, RunStats(), prune)
     return run_over_roots(_list_search, g, spec, prune=prune, threads=threads, order=order)
 
 
@@ -123,9 +126,5 @@ def enumerate_by_listing(g: Graph, spec: MotifSpec, sink, *, prune: bool = True,
     spec.validate()
     if spec.is_range:
         raise SpecError("enumerate_by_listing takes a single size")
-    if spec.q_low == 1:
-        for u in range(g.n):
-            sink((u,))
-        return
     run_over_roots(partial(_list_search, sink=sink), g, spec, prune=prune, threads=1,
                    order=order)

@@ -4,9 +4,9 @@ Three families are supported: clique, s-defective clique (dclique: at most s
 missing edges in total) and s-plex (every member misses at most s others).
 Both search engines drive one state object per root through one interface:
 
-* ``R``: the growing set; ``push(u, keep)`` / ``pop()`` grow and shrink it
-  (a state whose ``keeps_counts`` is False, the clique's, takes ``push(u)``:
-  the bound ``R.append``, with no interpreted call);
+* ``R``: the growing set; ``push(u)`` / ``pop()`` grow and shrink it (the
+  clique's are the bound ``R.append`` and ``R.pop``, with no interpreted
+  call); ``admits(u)`` tells whether R + {u} is still a result;
 * ``filter_candidates(C, u)``: the candidates that still extend R after u's
   push; ``filter_pivots(D, u)``: the same for the pivot engine's set D;
 * ``closer(C)``: for the listing engine's last branching level, a function
@@ -22,22 +22,23 @@ Both search engines drive one state object per root through one interface:
 Membership checks stay O(1) through per-family bookkeeping:
 
 * clique: none; candidates are cut to the common neighborhood;
-* dclique and plex: one count array A, where A[v] is v's number of
+* dclique and plex: every vertex v's deficiency m̄(v, R), its number of
   non-neighbors inside R, with the total of missing edges of R and R's
   bitmask ``rmask``. The two families differ only in the rule they apply to
-  the counts: a dclique bounds the total m̄(R) (half the sum of A over R)
-  by s, a plex bounds each member's A[v] by s.
+  the deficiencies: a dclique bounds the total m̄(R) (half their sum over R)
+  by s, a plex bounds each member's m̄(v, R) by s.
 
-The counts are kept over a fixed local universe (bitmask adjacency) with
-exact push/pop inverses.
-
-Updates cover only the live set. ``keep`` names the vertices that a node
-below the push may still read besides R (the engines pass what is left of C
-and D); a push updates A[v] only for v in ``keep | rmask`` and saves that
-mask, which its pop replays. Entries of every other vertex go stale, and no
-node reads them again: a vertex read at a node lies in its R, C or D, and
-was in ``keep | rmask`` at every push above it. The default ``keep = -1``
-updates the whole universe.
+The deficiencies are kept over a fixed local universe (bitmask adjacency)
+as threshold masks: ``ge[k]`` holds the vertices with m̄(v, R) >= k, for k
+in 0..s+1 (``ge[0]`` is the universe). A deficiency above s already rules a
+vertex out in both families, so the masks saturate at s + 1. A push of u
+raises every non-neighbor of u one level, ``ge[k] |= ge[k-1] & nonadj[u]``
+from the top level down, into a new list; it keeps the old list and m̄(R),
+which its pop puts back. So a push or pop costs O(s) mask operations
+whatever the size of the universe, every vertex is exact at every node, and
+the family filters, closers, leaf classes and bounds read a whole candidate
+set per mask operation. One vertex's exact deficiency is
+``popcount(nonadj[v] & rmask)``.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ class CliqueState:
     """R over a bitmask universe; every candidate is adjacent to all of R."""
 
     __slots__ = ("adj", "R", "push", "pop")
-    keeps_counts = False
 
     def __init__(self, adj: list[int], s: int = 0):
         """s is always 0 for cliques; it is taken so that every state is
@@ -152,6 +152,10 @@ class CliqueState:
         self.R: list[int] = []
         self.push = self.R.append
         self.pop = self.R.pop
+
+    def admits(self, u: int) -> bool:
+        """Whether u is adjacent to every member of R."""
+        return all(self.adj[u] >> r & 1 for r in self.R)
 
     def filter_candidates(self, C: int, u: int) -> int:
         """Members of C adjacent to u (u just pushed)."""
@@ -168,16 +172,16 @@ class CliqueState:
         """D as one class of weight 0 (nD members): any subset of D completes R."""
         return (D,), (nD,), 0
 
-    def check_live(self, live: int) -> None:
+    def check_counts(self) -> None:
         """Nothing to check: a clique keeps no counts."""
 
 
 class DcliqueState:
-    """R, m̄(R), and A[v] = m̄(v, R) over a bitmask universe; R misses at
-    most s edges in total."""
+    """R, m̄(R), and the threshold masks ge[k] = {v : m̄(v, R) >= k} over a
+    bitmask universe; R misses at most s edges in total."""
 
-    __slots__ = ("adj", "nonadj", "s", "R", "rmask", "walked", "total_missing", "A")
-    keeps_counts = True
+    __slots__ = ("adj", "nonadj", "s", "R", "rmask", "total_missing", "ge", "saved",
+                 "levels")
 
     def __init__(self, adj: list[int], s: int):
         self.adj = adj
@@ -186,101 +190,75 @@ class DcliqueState:
         self.s = s
         self.R: list[int] = []
         self.rmask = 0
-        self.walked: list[int] = []  # the mask each push updated, for its pop
         self.total_missing = 0
-        self.A = [0] * len(adj)
+        self.ge = [full] + [0] * (s + 1)
+        self.saved: list[tuple[list[int], int]] = []  # (ge, m̄(R)) before each push
+        self.levels = range(s + 1, 0, -1)  # a push raises the top level first
 
     def admits(self, u: int) -> bool:
         """Whether R + {u} stays within the family's budget."""
-        return self.total_missing + self.A[u] <= self.s
+        return self.total_missing + (self.nonadj[u] & self.rmask).bit_count() <= self.s
 
-    def push(self, u: int, keep: int = -1) -> None:
+    def push(self, u: int) -> None:
         """Add u to R; the caller has checked admits(u) (the engines push
-        only vertices that passed the family filter)."""
-        A = self.A
-        self.total_missing += A[u]
-        w = self.nonadj[u] & (keep | self.rmask)
-        self.walked.append(w)
-        while w:
-            b = w & -w
-            A[b.bit_length() - 1] += 1
-            w ^= b
+        only vertices that passed the family filter). The push puts a new
+        list in ge and keeps the old one for its pop, so a reader takes ge
+        from the state after each push or pop."""
+        old = self.ge
+        self.saved.append((old, self.total_missing))
+        ge = old[:]
+        nu = self.nonadj[u]
+        self.total_missing += (nu & self.rmask).bit_count()
+        for k in self.levels:
+            ge[k] |= ge[k - 1] & nu
+        self.ge = ge
         self.R.append(u)
         self.rmask |= 1 << u
 
     def pop(self) -> int:
         u = self.R.pop()
         self.rmask ^= 1 << u
-        A = self.A
-        w = self.walked.pop()
-        while w:
-            b = w & -w
-            A[b.bit_length() - 1] -= 1
-            w ^= b
-        self.total_missing -= A[u]
+        self.ge, self.total_missing = self.saved.pop()
         return u
 
-    def _within(self, C: int, budget: int) -> int:
-        """Members v of C with A[v] <= budget."""
-        A = self.A
-        out = 0
-        w = C
-        while w:
-            b = w & -w
-            if A[b.bit_length() - 1] <= budget:
-                out |= b
-            w ^= b
-        return out
-
     def filter_candidates(self, C: int, u: int | None = None) -> int:
-        """Candidates v that keep R + {v} within budget (call after a push)."""
-        return self._within(C, self.s - self.total_missing)
+        """Candidates v that keep R + {v} within budget (call after a push):
+        those with m̄(v, R) <= s - m̄(R)."""
+        return C & ~self.ge[self.s - self.total_missing + 1]
 
     # a pivot whose deficiency exceeds the budget can never complete R again,
     # since the budget only shrinks below this node
     filter_pivots = filter_candidates
 
     def closer(self, C: int):
-        """R + {u, v} misses m̄(R) + A[u] + A[v] + [v not adjacent to u]
-        edges, so v completes it iff A[v] + [v ∉ N(u)] <= b, with
-        b = s - m̄(R) - A[u]. Members of C are bucketed by A once:
-        upto[k] holds those with A < k (A <= budget, since each extends R)."""
-        A = self.A
+        """R + {u, v} misses m̄(R) + m̄(u, R) + m̄(v, R) + [v not adjacent to
+        u] edges, so v completes it iff m̄(v, R) + [v ∉ N(u)] <= b, with
+        b = s - m̄(R) - m̄(u, R). upto[k] holds the members of C with
+        m̄(v, R) < k; every member has m̄(v, R) <= s - m̄(R), since it
+        extends R."""
         adj = self.adj
+        nonadj = self.nonadj
+        rmask = self.rmask
         budget = self.s - self.total_missing
-        upto = [0] * (budget + 2)
-        w = C
-        while w:
-            b = w & -w
-            upto[A[b.bit_length() - 1] + 1] |= b
-            w ^= b
-        for k in range(1, budget + 2):
-            upto[k] |= upto[k - 1]
+        upto = [C & ~g for g in self.ge[:budget + 2]]
 
         def close(u: int, rest: int) -> int:
-            b = budget - A[u]
+            b = budget - (nonadj[u] & rmask).bit_count()
             return rest & (upto[b] | (upto[b + 1] & adj[u]))
         return close
 
     def leaf_classes(self, D: int, nD: int) -> tuple[list[int], tuple[int, ...], int]:
-        """D split by deficiency (masks[w] holds its members with A = w, for
-        w in 0..budget), the class sizes, and the edge budget their sum must
-        fit. A member heavier than the budget is in no completing subset,
-        so it is left out (filter_pivots drops such members anyway)."""
-        A = self.A
+        """D split by deficiency (masks[w] holds its members with m̄(v, R) = w,
+        for w in 0..budget), the class sizes, and the edge budget their sum
+        must fit. A member heavier than the budget is in no completing
+        subset, so it is left out (filter_pivots drops such members anyway)."""
+        ge = self.ge
         budget = self.s - self.total_missing
-        masks = [0] * (budget + 1)
-        w = D
-        while w:
-            b = w & -w
-            a = A[b.bit_length() - 1]
-            if a <= budget:
-                masks[a] |= b
-            w ^= b
+        masks = [D & ge[w] & ~ge[w + 1] for w in range(budget + 1)]
         return masks, tuple(map(int.bit_count, masks)), budget
 
     def recompute(self) -> tuple[int, list[int]]:
-        """From-scratch (total_missing, A) for consistency checks."""
+        """From-scratch (m̄(R), [m̄(v, R) for every v]) for consistency checks."""
         adj = self.adj
         r_bits = 0
         for u in self.R:
@@ -294,14 +272,14 @@ class DcliqueState:
                 total += A[v]
         return total // 2, A
 
-    def check_live(self, live: int) -> None:
-        """Assert the bookkeeping equals recompute() on R and live, the
-        vertices a node may read; the other entries may be stale."""
+    def check_counts(self) -> None:
+        """Assert the bookkeeping equals recompute() on the whole universe:
+        each ge[k] holds exactly the vertices with m̄(v, R) >= k."""
         total, A = self.recompute()
         assert self.rmask == sum(1 << r for r in self.R), "rmask is not R"
         assert self.total_missing == total, "stale missing-edge total"
-        assert all(self.A[v] == A[v] for v in iter_bits(live | self.rmask)), \
-            "stale A on a live vertex"
+        assert self.ge == [sum(1 << v for v, a in enumerate(A) if a >= k)
+                           for k in range(self.s + 2)], "stale deficiency level"
 
 
 class PlexState(DcliqueState):
@@ -311,17 +289,8 @@ class PlexState(DcliqueState):
 
     def admits(self, u: int) -> bool:
         """Whether u and every member it misses keep at most s non-neighbors."""
-        A = self.A
-        s = self.s
-        if A[u] > s:
-            return False
-        w = self.nonadj[u] & self.rmask
-        while w:
-            b = w & -w
-            if A[b.bit_length() - 1] >= s:
-                return False
-            w ^= b
-        return True
+        miss = self.nonadj[u] & self.rmask
+        return miss.bit_count() <= self.s and not miss & self.ge[self.s]
 
     def filter_candidates(self, C: int, u: int) -> int:
         """Candidates still extendable after u's push.
@@ -330,39 +299,34 @@ class PlexState(DcliqueState):
         saturated by the push (deficiency exactly s) evicts its non-neighbors.
         Only u itself and u's non-neighbors inside R can be newly saturated.
         """
-        s = self.s
-        A = self.A
+        ge = self.ge
         adj = self.adj
-        out = self._within(C, s)
-        w = self.nonadj[u] & self.rmask
+        sat = ge[self.s]
+        out = C & ~ge[self.s + 1]
+        w = self.nonadj[u] & self.rmask & sat
         while w:
             b = w & -w
-            v = b.bit_length() - 1
-            if A[v] == s:
-                out &= adj[v]
+            out &= adj[b.bit_length() - 1]
             w ^= b
-        if A[u] == s:
+        if sat >> u & 1:
             out &= adj[u]
         return out
 
     def closer(self, C: int):
         """v completes R + {u, v} iff u and v each stay within s non-neighbors
-        (v is adjacent to u, or both have A < s) and no member of R that
-        misses u and has A = s - 1 also misses v. A member already at s has
-        evicted its non-neighbors from C, and R + {u} is valid, since every
-        member of C extends R."""
-        A = self.A
+        (v is adjacent to u, or both miss fewer than s of R) and no member of
+        R that misses u and has m̄(x, R) = s - 1 also misses v. A member
+        already at s has evicted its non-neighbors from C, and R + {u} is
+        valid, since every member of C extends R."""
         adj = self.adj
         nonadj = self.nonadj
         s = self.s
-        light = self._within(C, s - 1)
-        near = 0
-        for x in self.R:
-            if A[x] == s - 1:
-                near |= 1 << x
+        sat = self.ge[s]
+        light = C & ~sat
+        near = self.rmask & self.ge[s - 1] & ~sat if s else 0
 
         def close(u: int, rest: int) -> int:
-            m = rest & (adj[u] | light) if A[u] < s else rest & adj[u]
+            m = rest & adj[u] if sat >> u & 1 else rest & (adj[u] | light)
             w = nonadj[u] & near
             while w:
                 b = w & -w

@@ -153,16 +153,19 @@ def select_pivot_plex(state: PlexState, C: int) -> PivotDecision:
     A member v with m̄(v, R + C) <= s passes for every u it misses, since u
     lies in C \\ N(v) but not in C1; only the other, heavy members are
     checked against C1, and only for a u whose degree beats the best
-    qualifier so far. One sweep over C (ties to the smallest id) finds both
-    the best qualifier and the best vertex.
+    qualifier so far. Both tests are one popcount each: v is heavy when
+    |nonadj(v) ∩ (R ∪ C)| > s, and passes u when |nonadj(v) ∩ (R ∪ C1)| < s.
+    One sweep over C (ties to the smallest id) finds both the best qualifier
+    and the best vertex.
     """
     s = state.s
-    A = state.A
     adj = state.adj
-    nC = C.bit_count()
+    nonadj = state.nonadj
+    rmask = state.rmask
+    RC = rmask | C
     heavy_r = 0
     for v in state.R:
-        if A[v] + (nC - (adj[v] & C).bit_count()) > s:
+        if (nonadj[v] & RC).bit_count() > s:
             heavy_r |= 1 << v
     best = qual = -1
     best_deg = qual_deg = -1
@@ -178,11 +181,10 @@ def select_pivot_plex(state: PlexState, C: int) -> PivotDecision:
         if d > qual_deg:
             h = heavy_r & ~au
             if h:
-                C1 = au & C
+                RC1 = rmask | (au & C)
                 while h:
                     hb = h & -h
-                    v = hb.bit_length() - 1
-                    if A[v] + (C1 & ~adj[v]).bit_count() >= s:
+                    if (nonadj[hb.bit_length() - 1] & RC1).bit_count() >= s:
                         break
                     h ^= hb
             if not h:
@@ -377,7 +379,6 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
     leaf_classes = state.leaf_classes
     select_pivot = rules.select_pivot
     bound = rules.bound if prune else None
-    keeps_counts = state.keeps_counts
     # read at run time: a pool worker's chunk sets it before the search
     fault = pruning.BOUND_FAULT
 
@@ -398,7 +399,7 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
         if debug_checks:
             assert all(not (D & ~adj[d] & ~(1 << d)) for d in iter_bits(D)), \
                 "accumulated pivot set must induce a clique"
-            state.check_live(C | D)
+            state.check_counts()
         if nR == q_hi - 1:
             xs = C | D
             n_new = xs.bit_count()
@@ -435,12 +436,9 @@ def _pivot_search(rn: RootNeighborhood, spec: MotifSpec, prune: bool, run: Run,
                     continue
             elif debug_checks and bound is not None:
                 assert bound(state, v, Crem) + nD >= q_lo, "a skipped bound would prune"
-            if keeps_counts:
-                if debug_checks:
-                    assert state.admits(v), "push would exceed the family's budget"
-                push(v, Crem | D)
-            else:
-                push(v)
+            if debug_checks:
+                assert state.admits(v), "push would exceed the family's budget"
+            push(v)
             if scratch is None:
                 rec(filter_candidates(Crem, v), filter_pivots(D, v))
             else:

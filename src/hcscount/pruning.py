@@ -4,8 +4,10 @@ upper bounds.
 A pruned run visits only the roots that can host a result, and shrinks each
 root's raw 1-hop/2-hop candidate sets using core and degree thresholds that
 no target-size result can evade. The bounds cap the size any branch can
-reach; a branch whose bound falls below the target is skipped. All are
-lossless: counts with and without them must agree.
+reach; a branch whose bound falls below the target is skipped. They read
+the candidates' deficiencies as classes off the state's threshold masks
+(motifs.py), a few mask operations per bound, and one vertex's deficiency
+as a popcount. All are lossless: counts with and without them must agree.
 """
 
 from __future__ import annotations
@@ -128,22 +130,22 @@ def reduce_root(g: Graph, order: DegeneracyOrder, root: int,
 
 
 def _greedy_neighbors(state: DcliqueState, u: int, C: int, budget: int) -> int:
-    """Most neighbors of u in C whose deficiencies A sum within budget
-    (cheapest first)."""
-    A = state.A
-    buckets = [0] * (state.s + 1)
-    w = state.adj[u] & C
-    while w:
-        b = w & -w
-        buckets[A[b.bit_length() - 1]] += 1
-        w ^= b
-    taken = buckets[0]
-    for cost in range(1, len(buckets)):
-        if budget < cost:
-            break
-        t = min(buckets[cost], budget // cost)
+    """Most neighbors of u in C whose deficiencies m̄(v, R) sum within budget
+    (cheapest first). Every member of C has a deficiency of at most s, so
+    the classes are read off the state's masks ge[1..s+1], one cost at a
+    time, until the budget or the members run out."""
+    ge = state.ge
+    N = state.adj[u] & C
+    taken = (N & ~ge[1]).bit_count()
+    N &= ge[1]
+    cost = 1
+    while N and cost <= budget:
+        heavier = N & ge[cost + 1]
+        t = min((N ^ heavier).bit_count(), budget // cost)
         taken += t
         budget -= t * cost
+        N = heavier
+        cost += 1
     return taken
 
 
@@ -153,7 +155,7 @@ def upper_bound_dclique(state: DcliqueState, u: int, C: int) -> int:
     |R|+1 listed, plus non-neighbors of u limited by the remaining edge
     budget, plus a greedy count of neighbors ordered by deficiency.
     """
-    slack = state.s - (state.total_missing + state.A[u])
+    slack = state.s - state.total_missing - (state.nonadj[u] & state.rmask).bit_count()
     non_nbr = (C & ~state.adj[u]).bit_count()
     omega = _greedy_neighbors(state, u, C, slack)
     return len(state.R) + 1 + min(slack, non_nbr) + omega - BOUND_FAULT
@@ -170,4 +172,5 @@ def upper_bound_plex(state: PlexState, u: int, C: int) -> int:
     R = state.R
     non_nbr = (C & ~state.adj[u]).bit_count()
     mid = _greedy_neighbors(state, u, C, s * len(R) - 2 * state.total_missing)
-    return len(R) + 1 + mid + min(s - state.A[u], non_nbr) - BOUND_FAULT
+    own = s - (state.nonadj[u] & state.rmask).bit_count()
+    return len(R) + 1 + mid + min(own, non_nbr) - BOUND_FAULT

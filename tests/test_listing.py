@@ -31,6 +31,9 @@ class TestCountByListing:
     def test_q1_counts_vertices(self):
         g = random_gnp(9, 0.3, seed=2)
         assert count_by_listing(g, MotifSpec.single("plex", 0, 1)).count == 9
+        got = []
+        enumerate_by_listing(g, MotifSpec.single("clique", 0, 1), got.append)
+        assert sorted(got) == [(u,) for u in range(9)]
 
     def test_q2_clique_counts_edges(self):
         g = random_gnp(15, 0.4, seed=3)

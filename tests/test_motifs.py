@@ -72,6 +72,18 @@ def local_masks(n: int, edges) -> list[int]:
     return adj
 
 
+def levels(state) -> list[int]:
+    """Each vertex's level read off the threshold masks: the largest k with
+    v in ge[k]."""
+    return [max(k for k, g in enumerate(state.ge) if g >> v & 1)
+            for v in range(len(state.adj))]
+
+
+def capped_counts(state) -> list[int]:
+    """Each vertex's definitional count of non-neighbors in R, capped at s + 1."""
+    return [min(a, state.s + 1) for a in state.recompute()[1]]
+
+
 graphs = st.integers(4, 9).flatmap(
     lambda n: st.tuples(
         st.just(n),
@@ -85,27 +97,27 @@ class TestDcliqueState:
         state = DcliqueState(adj, s=2)
         state.push(0)
         assert state.total_missing == 0
-        assert state.A == [0, 0, 0, 1]
+        assert state.ge == [0b1111, 0b1000, 0, 0]
+        assert levels(state) == [0, 0, 0, 1]
 
-    @given(graphs, st.randoms())
+    @given(graphs, st.integers(0, 3), st.randoms())
     @settings(max_examples=60, deadline=None)
-    def test_push_pop_is_identity_and_A_matches_recompute(self, g, rnd):
+    def test_push_pop_is_identity_and_A_matches_recompute(self, g, s, rnd):
+        # every vertex is pushed, so counts can pass s + 1 and saturate there
         n, edges = g
         adj = local_masks(n, edges)
-        state = DcliqueState(adj, s=n * n)
-        before = (state.total_missing, list(state.A), list(state.R))
+        state = DcliqueState(adj, s=s)
+        before = (state.total_missing, list(state.ge), list(state.R))
         order = list(range(n))
         rnd.shuffle(order)
-        pushed = 0
-        for u in order[:6]:
+        for u in order:
             state.push(u)
-            pushed += 1
             total, A = state.recompute()
             assert total == state.total_missing
-            assert A == state.A
-        for _ in range(pushed):
+            assert levels(state) == [min(a, s + 1) for a in A]
+        for _ in order:
             state.pop()
-        assert (state.total_missing, list(state.A), list(state.R)) == before
+        assert (state.total_missing, list(state.ge), list(state.R)) == before
 
     def test_filter_matches_definitional_oracle(self):
         # the filter is incremental: C must be threaded through every push,
@@ -142,7 +154,6 @@ class TestCliqueState:
     def test_push_is_the_bound_append(self):
         # a clique keeps no counts: engines push u alone, with no Python frame
         state = CliqueState([0, 0])
-        assert not state.keeps_counts and DcliqueState.keeps_counts
         assert state.push.__self__ is state.R and state.pop.__self__ is state.R
         state.push(1)
         assert state.R == [1]
@@ -177,16 +188,17 @@ class TestPlexState:
         state = PlexState(adj, s=2)
         state.push(0)
         assert state.total_missing == 0
-        assert state.A == [0, 0, 0, 1]
+        assert levels(state) == [0, 0, 0, 1]
 
     @given(graphs, st.randoms())
     @settings(max_examples=60, deadline=None)
     def test_push_pop_identity_and_A_matches_recompute(self, g, rnd):
         n, edges = g
         adj = local_masks(n, edges)
-        # s = n: no vertex misses n others, so every push is admitted
+        # s = n: no vertex misses n others, so every push is admitted and no
+        # count saturates
         state = PlexState(adj, s=n)
-        before = list(state.A)
+        before = list(state.ge)
         order = list(range(n))
         rnd.shuffle(order)
         pushed = 0
@@ -194,12 +206,12 @@ class TestPlexState:
             state.push(u)
             pushed += 1
             total, A = state.recompute()
-            assert A == state.A
+            assert levels(state) == A
             assert total == state.total_missing == sum(
                 1 for a, b in itertools.combinations(state.R, 2) if not (adj[a] >> b) & 1)
         for _ in range(pushed):
             state.pop()
-        assert list(state.A) == before
+        assert state.ge == before
         assert state.total_missing == 0
 
     def test_filter_matches_definitional_oracle(self):
@@ -235,34 +247,49 @@ class TestPlexState:
 
 
 @pytest.mark.parametrize("cls", [DcliqueState, PlexState])
-@given(graphs, st.randoms())
+@given(graphs, st.integers(0, 3), st.randoms())
 @settings(max_examples=80, deadline=None)
-def test_live_updates_match_recompute_and_pops_restore(cls, g, rnd):
-    # keep masks nest as in the engines: a push draws u from the live set
-    # and passes a subset of what is left; a pop returns to the parent's set
+def test_levels_match_capped_counts_and_pops_restore(cls, g, s, rnd):
+    # random pushes and pops, with no budget check, so that counts pass s + 1
+    # (s <= 3 < n, as on every universe the engines build a state for):
+    # every vertex's level is its count capped at s + 1, and each pop
+    # restores the masks and the total to what they were before its push
     n, edges = g
     adj = local_masks(n, edges)
-    state = cls(adj, s=n * n)
-    before = list(state.A)
-    keeps = [(1 << n) - 1]
-    for _ in range(14):
-        live = keeps[-1]
-        if state.R and (not live or rnd.random() < 0.3):
+    state = cls(adj, s=s)
+    snapshots = []
+    for _ in range(24):
+        if state.R and (len(state.R) == n or rnd.random() < 0.3):
             state.pop()
-            keeps.pop()
-        elif live:
-            u = rnd.choice([v for v in range(n) if (live >> v) & 1])
-            keep = live & ~(1 << u) & rnd.getrandbits(n)
-            state.push(u, keep)
-            keeps.append(keep)
-        state.check_live(keeps[-1])  # recompute() on R | keep
+            assert (list(state.ge), state.total_missing) == snapshots.pop()
+        else:
+            snapshots.append((list(state.ge), state.total_missing))
+            state.push(rnd.choice([v for v in range(n) if v not in state.R]))
+        assert levels(state) == capped_counts(state)
+        state.check_counts()
     while state.R:
         state.pop()
-    assert state.A == before
-    assert state.total_missing == 0 and state.rmask == 0 and state.walked == []
+        assert (list(state.ge), state.total_missing) == snapshots.pop()
+    assert state.ge == [(1 << n) - 1] + [0] * (s + 1)
+    assert state.total_missing == 0 and state.rmask == 0 and state.saved == []
 
 
-@pytest.mark.parametrize("cls", [DcliqueState, PlexState])
+def test_random_pushes_reach_saturation():
+    # the property above is exercised past s + 1: on an empty graph every
+    # vertex misses all of R, so four pushes drive the rest to level s + 1
+    state = DcliqueState([0] * 6, s=2)
+    for u in range(4):
+        state.push(u)
+    assert levels(state) == capped_counts(state) == [3, 3, 3, 3, 3, 3]
+    assert state.total_missing == 6
+
+
+def _snapshot(state):
+    return (list(state.R), getattr(state, "rmask", None),
+            getattr(state, "total_missing", None), list(getattr(state, "ge", ())))
+
+
+@pytest.mark.parametrize("cls", [CliqueState, DcliqueState, PlexState])
 @given(graphs, st.integers(0, 3), st.randoms())
 @settings(max_examples=80, deadline=None)
 def test_push_accepted_exactly_when_result_stays_hcs(cls, g, s, rnd):
@@ -271,14 +298,16 @@ def test_push_accepted_exactly_when_result_stays_hcs(cls, g, s, rnd):
     # state untouched; only admitted vertices are pushed
     n, edges = g
     graph = from_edges(sorted(edges), vertex_universe=list(range(n)))
-    spec = MotifSpec("dclique" if cls is DcliqueState else "plex", s, 1, n)
+    family = {CliqueState: "clique", DcliqueState: "dclique", PlexState: "plex"}[cls]
+    s = 0 if cls is CliqueState else s
+    spec = MotifSpec(family, s, 1, n)
     state = cls(graph.adjacency_masks(), s)
     order = list(range(n))
     rnd.shuffle(order)
     for u in order:
-        before = (list(state.R), state.rmask, state.total_missing, list(state.A))
+        before = _snapshot(state)
         ok = state.admits(u)
-        assert (state.R, state.rmask, state.total_missing, state.A) == before
+        assert _snapshot(state) == before
         assert ok == is_hcs(spec, graph, state.R + [u]), (state.R, u)
         if ok:
             state.push(u)
@@ -288,11 +317,6 @@ def test_push_accepted_exactly_when_result_stays_hcs(cls, g, s, rnd):
 CLOSER_CASES = [(CliqueState, "clique", 0)] + [
     (cls, fam, s) for cls, fam in ((DcliqueState, "dclique"), (PlexState, "plex"))
     for s in range(4)]
-
-
-def _snapshot(state):
-    return (list(state.R), getattr(state, "rmask", None),
-            getattr(state, "total_missing", None), list(getattr(state, "A", ())))
 
 
 @pytest.mark.parametrize("cls,family,s", CLOSER_CASES)
@@ -322,10 +346,7 @@ def test_closer_equals_push_filter_pop_and_definition(cls, family, s):
                     rest = later & ~((1 << t) - 1)
                     got = close(u, rest)
                     assert _snapshot(state) == before
-                    if cls.keeps_counts:
-                        state.push(u, rest)
-                    else:
-                        state.push(u)
+                    state.push(u)
                     assert got == state.filter_candidates(rest, u), (seed, state.R, u, rest)
                     state.pop()
                     assert got == completes & rest, (seed, state.R, u, rest)

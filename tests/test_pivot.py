@@ -33,12 +33,13 @@ def plex_pivot_qualifiers(state, C):
     """Reference rule: u qualifies when every member v of R that u misses
     keeps room for u and for its own non-neighbors in u's hold-out side
     C1 = N(u) ∩ C: m̄(v, R) + 1 + |C1 \\ N(v)| <= s."""
-    A, adj, s = state.A, state.adj, state.s
+    adj, s = state.adj, state.s
+    rmask = sum(1 << r for r in state.R)
 
     def qualifies(u):
         C1 = adj[u] & C
-        return all(A[v] + 1 + (C1 & ~adj[v]).bit_count() <= s
-                   for v in state.R if not adj[u] >> v & 1)
+        return all((rmask & ~adj[v] & ~(1 << v)).bit_count() + 1 + (C1 & ~adj[v]).bit_count()
+                   <= s for v in state.R if not adj[u] >> v & 1)
 
     return [u for u in iter_bits(C) if qualifies(u)]
 

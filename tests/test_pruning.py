@@ -1,12 +1,16 @@
 """Candidate reduction and branch upper bounds: examples plus soundness."""
 
+import random
+
 import numpy as np
 import pytest
 
 from hcscount import (DcliqueState, MotifSpec, PlexState, collect_candidates,
                       count_by_listing, count_by_pivot, degeneracy_order, from_edges,
                       random_gnp)
-from hcscount.pruning import reduce_candidates, upper_bound_dclique, upper_bound_plex
+from hcscount.motifs import iter_bits
+from hcscount.pruning import (_greedy_neighbors, reduce_candidates, upper_bound_dclique,
+                              upper_bound_plex)
 
 
 def arr(xs):
@@ -98,7 +102,65 @@ def _state_on(g, family, s, pushes):
     return state
 
 
+def sorted_greedy(deficiencies, budget: int) -> int:
+    """Reference greedy: take the cheapest deficiencies first while they fit."""
+    taken = 0
+    for a in sorted(deficiencies):
+        if a > budget:
+            break
+        budget -= a
+        taken += 1
+    return taken
+
+
+def _random_states(seed: int):
+    """(state, C) pairs as at a search node: R grown by admitted pushes, and C
+    the vertices outside R that R + {v} admits, on graphs of 8 to 14 vertices
+    with s = 0..3."""
+    rnd = random.Random(seed)
+    for trial in range(120):
+        n = rnd.randint(8, 14)
+        g = random_gnp(n, rnd.choice((0.3, 0.5, 0.7)), seed=seed * 1000 + trial)
+        s = trial % 4
+        state = (DcliqueState, PlexState)[trial // 4 % 2](g.adjacency_masks(), s)
+        for _ in range(rnd.randint(0, 5)):
+            fits = [v for v in range(n) if v not in state.R and state.admits(v)]
+            if not fits:
+                break
+            state.push(rnd.choice(fits))
+        C = sum(1 << v for v in range(n) if v not in state.R and state.admits(v))
+        yield state, C
+
+
 class TestUpperBounds:
+    def test_mask_bounds_match_sorted_deficiency_greedy(self):
+        # the bounds read deficiency classes off the threshold masks; the
+        # reference sorts definitional deficiencies m̄(v, R) instead
+        checked = 0
+        for state, C in _random_states(17):
+            adj, R = state.adj, state.R
+            rmask = sum(1 << r for r in R)
+            deficiency = [(rmask & ~adj[v] & ~(1 << v)).bit_count() for v in range(len(adj))]
+            missing = sum(deficiency[r] for r in R) // 2
+            s = state.s
+            for u in iter_bits(C):
+                rest = C & ~(1 << u)
+                nbr = [deficiency[v] for v in iter_bits(adj[u] & rest)]
+                non_nbr = (rest & ~adj[u]).bit_count()
+                for budget in range(3 * s + 2):
+                    assert _greedy_neighbors(state, u, rest, budget) == \
+                        sorted_greedy(nbr, budget), (R, u, budget)
+                if isinstance(state, PlexState):
+                    want = (len(R) + 1 + sorted_greedy(nbr, s * len(R) - 2 * missing)
+                            + min(s - deficiency[u], non_nbr))
+                    assert upper_bound_plex(state, u, rest) == want, (R, u)
+                else:
+                    slack = s - missing - deficiency[u]
+                    want = len(R) + 1 + min(slack, non_nbr) + sorted_greedy(nbr, slack)
+                    assert upper_bound_dclique(state, u, rest) == want, (R, u)
+                checked += 1
+        assert checked > 500
+
     def test_dclique_s0_counts_common_neighbors(self):
         g = random_gnp(12, 0.5, seed=3)
         state = _state_on(g, "dclique", 0, [0])

@@ -248,6 +248,27 @@ class TestCountCommand:
         assert rc == 0
         assert "q=5: 9" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("family", ["clique", "plex"])
+    @pytest.mark.parametrize("prune", [[], ["--no-prune"]])
+    def test_q1_stats_agree_across_methods(self, family, prune, tmp_path):
+        """A q = 1 listing reports the candidates and time of a real run."""
+        inp = tmp_path / "g.txt"
+        inp.write_text("0 1\n1 2\n0 2\n2 3\n")  # a triangle with a tail
+        reps = {}
+        for method in ("pivot", "list"):
+            out = tmp_path / f"{method}.json"
+            assert main(["count", "--input", str(inp), "--motif", family, "--s", "0",
+                         "--q", "1", "--method", method, "--json", str(out)] + prune) == 0
+            reps[method] = json.loads(out.read_text())
+        piv, lst = reps["pivot"], reps["list"]
+        assert piv["counts"] == lst["counts"] == {"1": "4"}
+        for key in ("candidates_before_reduction", "candidates_after_reduction",
+                    "reduction_rate"):
+            assert piv["stats"][key] == lst["stats"][key], key
+        assert lst["stats"]["candidates_before_reduction"] == 4  # m
+        assert lst["stats"]["reduction_rate"] == 0.0
+        assert lst["wall_time_s"] > 0
+
     def test_list_method_rejects_range(self, ref7_file, capsys, monkeypatch):
         """Before the input is loaded."""
         import hcscount.cli as cli
